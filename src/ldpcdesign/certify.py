@@ -86,15 +86,9 @@ def _extremum_on_unit_interval(p: Polynomial, minimize: bool = True) -> tuple[fl
     candidates.extend(xs[np.nonzero(dvals == 0.0)[0]].tolist())
 
     cand = np.asarray(candidates)
-    cvals = p(cand)
-    if minimize:
-        all_vals = np.concatenate([vals, cvals])
-        all_xs = np.concatenate([xs, cand])
-        k = int(np.argmin(all_vals))
-    else:
-        all_vals = np.concatenate([vals, cvals])
-        all_xs = np.concatenate([xs, cand])
-        k = int(np.argmax(all_vals))
+    all_vals = np.concatenate([vals, p(cand)])
+    all_xs = np.concatenate([xs, cand])
+    k = int(np.argmin(all_vals) if minimize else np.argmax(all_vals))
     return float(all_vals[k]), float(all_xs[k])
 
 

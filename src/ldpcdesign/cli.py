@@ -15,7 +15,8 @@ from .desim import de_trace, threshold as de_threshold
 from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_alpha_values,
                          parse_config, parse_degree_poly, run_sweep)
 from .lp import SolveRequest, solve_semi_infinite
-from .polynomials import (DegreeDistribution, Polynomial, poly_from_edge_coeffs)
+from .polynomials import (DegreeDistribution, Polynomial, poly_from_edge_coeffs,
+                          rate_and_gap)
 from .sos import build_sos_problem, check_certificate, solve_sdp
 from .svgplot import NoPlottableRows, emit_svg_plot
 
@@ -58,10 +59,7 @@ def _solve_request(args) -> SolveRequest:
 
 
 def _print_solution(lam: dict, rho: Polynomial, epsilon: float, alpha: float):
-    rho_mean = rho.integral01()
-    lam_mean = sum(c / i for i, c in lam.items())
-    rate = 1.0 - rho_mean / lam_mean
-    gap = 1.0 - rate / (1.0 - epsilon)
+    rate, gap = rate_and_gap(lam, rho, epsilon)
     margin = certify.min_normalized_slack(lam, rho, epsilon, alpha)
     for i in sorted(lam):
         print(f"lambda_{i} = {lam[i]:.12g}")
@@ -166,12 +164,7 @@ def cmd_certify_sos(args) -> int:
     # Independent recheck: rebuild q from the returned lambda and compare
     # against the Gram reconstruction.
     lam_vec = [sol.lambda_coeffs.get(i, 0.0) for i in prob.degrees]
-    q_coeffs = [0.0] * (prob.q_degree + 1)
-    q_coeffs[0] = req.alpha
-    for l in range(prob.q_degree + 1):
-        q_coeffs[l] -= sum(prob.h_matrix[l, k] * lam_vec[k]
-                           for k in range(len(lam_vec)))
-    residual = check_certificate(Polynomial(q_coeffs), cert)
+    residual = check_certificate(Polynomial(prob.slack_coeffs(lam_vec)), cert)
     print(f"status = optimal")
     print(f"objective = {sol.objective:.12g}")
     print(f"matching_residual = {residual:.3e}")

@@ -14,7 +14,7 @@ import numpy as np
 from . import certify
 from .desim import de_trace
 from .lp import SolveRequest, solve_semi_infinite
-from .polynomials import DegreeDistribution, poly_from_edge_coeffs
+from .polynomials import DegreeDistribution, poly_from_edge_coeffs, rate_and_gap
 from .sos import build_sos_problem, solve_sdp
 
 KNOWN_KEYS = ("rho", "epsilon", "dv_max", "alpha", "solver", "target",
@@ -199,10 +199,7 @@ def _solve_one(cfg: ExperimentConfig, alpha: float, solver: str) -> SweepRow:
                         gap=None, min_slack=None, iters=None, lambdas=())
 
     margin = certify.min_normalized_slack(lam, rho, cfg.epsilon, alpha)
-    rho_mean = rho.integral01()
-    lam_mean = sum(c / i for i, c in lam.items())
-    rate = 1.0 - rho_mean / lam_mean
-    gap = 1.0 - rate / (1.0 - cfg.epsilon)
+    rate, gap = rate_and_gap(lam, rho, cfg.epsilon)
     dist = DegreeDistribution(lam, cfg.rho_coeffs)
     trace = de_trace(dist, cfg.epsilon, target=cfg.target)
     lambdas = tuple(lam.get(i, 0.0) for i in range(2, cfg.dv_max + 1))

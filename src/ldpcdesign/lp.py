@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .polynomials import Polynomial, constraint_basis
+from .polynomials import Polynomial, constraint_basis, rate_and_gap
 
 DEFAULT_GRID_SIZE = 64
 MAX_CUTS = 200
@@ -230,10 +230,7 @@ def _result_from_lambda(req: SolveRequest, values: np.ndarray, status: str,
     lam = lam / lam.sum()
     lambda_coeffs = {i + 2: float(lam[i]) for i in range(lam.size) if lam[i] != 0.0}
     margin = certify.min_normalized_slack(lambda_coeffs, req.rho, req.epsilon, req.alpha)
-    rho_mean = req.rho.integral01()
-    lam_mean = sum(c / i for i, c in lambda_coeffs.items())
-    rate = 1.0 - rho_mean / lam_mean
-    gap = 1.0 - rate / (1.0 - req.epsilon)
+    rate, gap = rate_and_gap(lambda_coeffs, req.rho, req.epsilon)
     return OptimizationResult(
         lambda_coeffs=lambda_coeffs, rate=rate, gap=gap, margin=margin,
         status=status, solver_iterations=iterations, cuts_added=cuts,

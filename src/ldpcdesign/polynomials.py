@@ -267,6 +267,15 @@ def design_rate(dist: DegreeDistribution) -> float:
     return 1.0 - rho_mean / lam_mean
 
 
+def rate_and_gap(lambda_coeffs: Mapping[int, float], rho: Polynomial,
+                 epsilon: float) -> tuple[float, float]:
+    """R = 1 - (int_0^1 rho) / (sum_i lambda_i / i) and the gap 1 - R / (1 - epsilon)."""
+    rho_mean = rho.integral01()
+    lam_mean = sum(c / i for i, c in lambda_coeffs.items())
+    rate = 1.0 - rho_mean / lam_mean
+    return rate, 1.0 - rate / (1.0 - epsilon)
+
+
 def rate_report(dist: DegreeDistribution, ch: ChannelSpec) -> RateReport:
     rate = design_rate(dist)
     capacity = ch.capacity

@@ -9,9 +9,11 @@ interval representation
 
 with each sigma a sum of squares represented by a symmetric Gram matrix
 whose anti-diagonal sums reproduce its coefficients.  The resulting small
-block-diagonal SDP (Gram blocks, the lambda scalars, and their unit upper
-bounds) is solved by an in-repo primal-dual interior-point kernel built on
-a homogeneous self-dual embedding.
+block-diagonal SDP (the Gram blocks and one diagonal block of the lambda
+scalars; coefficient matching plus sum lambda = 1) is solved by an in-repo
+primal-dual interior-point kernel built on a homogeneous self-dual
+embedding.  Infeasibility is decided before any solve by the same
+feasibility floor the LP path uses.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import certify
 from .lp import SolveRequest
 from .polynomials import Polynomial, constraint_basis
 
 MATCHING_TOL = 1e-8
 EIG_TOL = 1e-8
 MAX_IPM_ITERS = 500
-PHASE1_TOL = 1e-7
 
 # The interior-point kernel runs in extended precision.  Near a degenerate
 # optimum the Schur system's condition number exceeds 1/eps for float64 and
@@ -94,6 +96,14 @@ class SOSProblem:
     rho: Polynomial
     epsilon: float
 
+    def slack_coeffs(self, lam) -> np.ndarray:
+        """Coefficients of q = alpha - sum_i lambda_i g_i / x, given the
+        lambda vector ordered as ``degrees``."""
+        q = np.zeros(self.q_degree + 1)
+        q[0] = self.alpha
+        q -= self.h_matrix @ np.asarray(lam, dtype=float)
+        return q
+
 
 @dataclass(frozen=True)
 class SOSCertificate:
@@ -117,29 +127,28 @@ def _gram_sizes(m: int) -> tuple[int, int]:
     return (m + 1) // 2, (m + 1) // 2
 
 
-def _anti_diag(size: int, level: int) -> np.ndarray:
-    """Symmetric 0/1 matrix selecting entries with i + j = level."""
-    A = np.zeros((size, size))
-    if size > 0:
-        for i in range(size):
-            j = level - i
-            if 0 <= j < size:
-                A[i, j] = 1.0
-    return A
+def _anti_diags(size: int, levels: np.ndarray) -> np.ndarray:
+    """Stacked symmetric 0/1 matrices selecting entries with i + j = level."""
+    r = np.arange(size)
+    return (np.add.outer(r, r) == levels[:, None, None]).astype(float)
 
 
-def _reconstruction_maps(m: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-coefficient linear maps from the two Gram blocks to coeff l of q."""
+def _reconstruction_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (m+1, s, s) linear maps from each Gram block to the
+    coefficients of q: map[l] paired with the block gives its share of q_l."""
     s0, s1 = _gram_sizes(m)
-    maps0, maps1 = [], []
-    for l in range(m + 1):
-        if m % 2 == 0:
-            maps0.append(_anti_diag(s0, l))
-            maps1.append(_anti_diag(s1, l - 1) - _anti_diag(s1, l - 2))
-        else:
-            maps0.append(_anti_diag(s0, l - 1))
-            maps1.append(_anti_diag(s1, l) - _anti_diag(s1, l - 1))
+    odd = m % 2
+    levels = np.arange(m + 1)
+    maps0 = _anti_diags(s0, levels - odd)
+    maps1 = (_anti_diags(s1, levels - 1 + odd)
+             - _anti_diags(s1, levels - 2 + odd))
     return maps0, maps1
+
+
+def _gram_coeffs(m: int, blocks) -> np.ndarray:
+    """Coefficients of the degree-m polynomial that the Gram blocks encode."""
+    return sum(np.einsum("lij,ij->l", M, G)
+               for M, G in zip(_reconstruction_maps(m), blocks))
 
 
 def build_sos_problem(req: SolveRequest) -> SOSProblem:
@@ -161,29 +170,35 @@ def build_sos_problem(req: SolveRequest) -> SOSProblem:
 # --- generic small block-diagonal SDP kernel ------------------------------
 
 
+def _contract(stacks, Ms) -> np.ndarray:
+    """Vector with entries sum_b <stacks_b[k], M_b>, one per stacked k."""
+    return sum(np.einsum("kij,ij->k", P, M) for P, M in zip(stacks, Ms))
+
+
 class _BlockSDP:
-    """min sum<C_b, X_b>  s.t.  sum_b <A_kb, X_b> = b_k,  X_b >= 0 (PSD)."""
+    """min sum<C_b, X_b>  s.t.  sum_b <A_kb, X_b> = b_k,  X_b >= 0 (PSD).
 
-    def __init__(self, sizes, C, A, b):
-        self.sizes = list(sizes)
+    ``A`` holds one stacked (K, n_b, n_b) array of constraint matrices per
+    block.
+    """
+
+    def __init__(self, C, A, b):
         self.C = [np.asarray(M, dtype=_LD) for M in C]
-        self.A = [[np.asarray(M, dtype=_LD) for M in row] for row in A]
+        self.A = [np.asarray(M, dtype=_LD) for M in A]
         self.b = np.asarray(b, dtype=_LD)
+        self.sizes = [M.shape[0] for M in self.C]
 
-    def _inner(self, Ms, Ns):
+    @staticmethod
+    def _inner(Ms, Ns):
         return sum(np.sum(M * N) for M, N in zip(Ms, Ns))
 
     def _apply(self, X) -> np.ndarray:
-        return np.array([self._inner(row, X) for row in self.A])
+        return _contract(self.A, X)
 
     def _adjoint(self, y):
-        out = [np.zeros((s, s), dtype=_LD) for s in self.sizes]
-        for k, row in enumerate(self.A):
-            for bidx, M in enumerate(row):
-                out[bidx] += y[k] * M
-        return out
+        return [np.einsum("k,kij->ij", y, A) for A in self.A]
 
-    def _feasibility_correction(self, dX, rp, X):
+    def _feasibility_correction(self, dX, rp, X, gram):
         """Adjust dX so A(dX) = rp holds to roundoff.
 
         The Newton direction satisfies this only up to the (often huge)
@@ -191,27 +206,18 @@ class _BlockSDP:
         residual stops contracting.  The adjustment is least-norm in the
         X-scaled metric (dX += X W X), which keeps it compatible with the
         cone: directions where X is nearly singular are barely perturbed.
+        ``gram`` is that metric's Gram matrix, tr(A_k X A_h X).
         """
-        K = self.b.size
-        nb = len(self.sizes)
-        AX = [[self.A[k][bi] @ X[bi] for bi in range(nb)] for k in range(K)]
-        M = np.empty((K, K), dtype=_LD)
-        for k in range(K):
-            for h in range(k, K):
-                M[k, h] = M[h, k] = sum(np.sum(AX[k][bi] * AX[h][bi].T)
-                                        for bi in range(nb))
         for _ in range(3):
             err = rp - self._apply(dX)
             try:
-                w = _solve_dense_ld(M, err)
+                w = _solve_dense_ld(gram, err)
             except np.linalg.LinAlgError:
-                w = np.linalg.lstsq(M.astype(float), err.astype(float),
+                w = np.linalg.lstsq(gram.astype(float), err.astype(float),
                                     rcond=None)[0]
             if not np.all(np.isfinite(w.astype(float))):
                 break
-            W = self._adjoint(w)
-            for bi in range(nb):
-                dX[bi] = dX[bi] + X[bi] @ W[bi] @ X[bi]
+            dX = [D + Xb @ W @ Xb for D, Xb, W in zip(dX, X, self._adjoint(w))]
         return dX
 
     @staticmethod
@@ -258,7 +264,6 @@ class _BlockSDP:
         only backs the duality-gap bound on the reported objective, while
         the primal residual bounds the certificate's matching error.
         """
-        nb = len(self.sizes)
         K = self.b.size
         n_total = sum(self.sizes) + 1
         X = [np.eye(s, dtype=_LD) for s in self.sizes]
@@ -308,29 +313,23 @@ class _BlockSDP:
 
             Zi = [_inv_from_cholesky(_cholesky_ld(Zb)) for Zb in Z]
 
-            ZiA = [[Zi[bi] @ self.A[k][bi] for bi in range(nb)]
-                   for k in range(K)]
-            AX = [[self.A[k][bi] @ X[bi] for bi in range(nb)]
-                  for k in range(K)]
-            CX = [self.C[bi] @ X[bi] for bi in range(nb)]
-            ZiC = [Zi[bi] @ self.C[bi] for bi in range(nb)]
-            RdX = [Rd[bi] @ X[bi] for bi in range(nb)]
             # Schur system in (dy, dtau); entries are trace products with
             # A_k, C symmetric so tr(P Zi Q X) = sum((Zi P) * (Q X)).
+            ZiA = [Zib @ A for Zib, A in zip(Zi, self.A)]
+            AX = [A @ Xb for A, Xb in zip(self.A, X)]
+            CX = [C @ Xb for C, Xb in zip(self.C, X)]
+            ZiC = [Zib @ C for Zib, C in zip(Zi, self.C)]
+            RdX = [R @ Xb for R, Xb in zip(Rd, X)]
             S = np.zeros((K + 1, K + 1), dtype=_LD)
-            for k in range(K):
-                for h in range(K):
-                    S[k, h] = sum(np.sum(ZiA[k][bi] * AX[h][bi])
-                                  for bi in range(nb))
-            u = np.array([sum(np.sum(ZiA[k][bi] * CX[bi]) for bi in range(nb))
-                          for k in range(K)])
-            w = sum(np.sum(ZiC[bi] * CX[bi]) for bi in range(nb))
-            a0 = np.array([sum(np.trace(ZiA[k][bi]) for bi in range(nb))
-                           for k in range(K)])
-            qv = np.array([sum(np.sum(ZiA[k][bi] * RdX[bi])
-                               for bi in range(nb)) for k in range(K)])
-            s_rd = sum(np.sum(ZiC[bi] * RdX[bi]) for bi in range(nb))
-            ctilde = sum(np.sum(self.C[bi] * Zi[bi]) for bi in range(nb))
+            S[:K, :K] = sum(np.einsum("kij,hij->kh", P, Q)
+                            for P, Q in zip(ZiA, AX))
+            gram = sum(np.einsum("kij,hji->kh", P, P) for P in AX)
+            u = _contract(ZiA, CX)
+            w = self._inner(ZiC, CX)
+            a0 = sum(np.einsum("kii->k", P) for P in ZiA)
+            qv = _contract(ZiA, RdX)
+            s_rd = self._inner(ZiC, RdX)
+            ctilde = self._inner(self.C, Zi)
             S[:K, K] = -(u + self.b)
             S[K, :K] = self.b - u
             S[K, K] = w + kappa / tau
@@ -352,11 +351,11 @@ class _BlockSDP:
                 dZ = [dtau * C - Ab + om * R
                       for C, Ab, R in zip(self.C, AtdY, Rd)]
                 dX = []
-                for bi in range(nb):
-                    D = smu * Zi[bi] - X[bi] - Zi[bi] @ dZ[bi] @ X[bi]
+                for Zib, Xb, dZb in zip(Zi, X, dZ):
+                    D = smu * Zib - Xb - Zib @ dZb @ Xb
                     dX.append(0.5 * (D + D.T))
                 dX = self._feasibility_correction(
-                    dX, om * rp + self.b * dtau, X)
+                    dX, om * rp + self.b * dtau, X, gram)
                 dkappa = (smu - tau * kappa - kappa * dtau) / tau
                 return dX, dy, dZ, dtau, dkappa
 
@@ -407,110 +406,56 @@ class _BlockSDP:
 # --- assembling and solving the fast-convergence SDP ----------------------
 
 
-def _assemble(prob: SOSProblem, phase1: bool):
-    """Blocks: [G0, (G1), lambda_i scalars, slack scalars, (t)]."""
-    m = prob.q_degree
-    s0, s1 = prob.gram_sizes
-    nl = len(prob.degrees)
-    sizes = [s0] + ([s1] if s1 > 0 else []) + [1] * (2 * nl) + ([1] if phase1 else [])
-    g1_present = s1 > 0
-    lam_off = 1 + (1 if g1_present else 0)
-    slack_off = lam_off + nl
-    t_off = slack_off + nl
+def _assemble(prob: SOSProblem) -> _BlockSDP:
+    """Blocks [G0, (G1), diag(lambda)]; rows: the m+1 coefficient matches
+    R_l(G) + sum_i h_{i,l} lambda_i = alpha [l == 0], then sum lambda = 1.
 
-    maps0, maps1 = _reconstruction_maps(m)
-
-    A, b = [], []
-    # Coefficient matching: R_l(G) + sum_i h_{i,l} lambda_i (- t at l=0)
-    #   = alpha * [l == 1 of p] -> for q: alpha at l = 0.
-    for l in range(m + 1):
-        row = [np.zeros((s, s)) for s in sizes]
-        row[0] = maps0[l]
-        if g1_present:
-            row[1] = maps1[l]
-        for i in range(nl):
-            row[lam_off + i] = np.array([[prob.h_matrix[l, i]]])
-        if phase1 and l == 0:
-            row[t_off] = np.array([[-1.0]])
-        A.append(row)
-        b.append(prob.alpha if l == 0 else 0.0)
-    # Simplex equality sum lambda = 1.
-    row = [np.zeros((s, s)) for s in sizes]
-    for i in range(nl):
-        row[lam_off + i] = np.array([[1.0]])
-    A.append(row)
-    b.append(1.0)
-    # Unit upper bounds lambda_i + u_i = 1 (redundant under the simplex
-    # equality; kept in the formulation, never active).
-    for i in range(nl):
-        row = [np.zeros((s, s)) for s in sizes]
-        row[lam_off + i] = np.array([[1.0]])
-        row[slack_off + i] = np.array([[1.0]])
-        A.append(row)
-        b.append(1.0)
-
-    C = [np.zeros((s, s)) for s in sizes]
-    if phase1:
-        C[t_off] = np.array([[1.0]])
-    else:
-        for i in range(nl):
-            C[lam_off + i] = np.array([[-prob.objective[i]]])
-    return _BlockSDP(sizes, C, A, b), lam_off, g1_present
-
-
-def _certificate_from_blocks(prob: SOSProblem, G0, G1, lam) -> SOSCertificate:
-    m = prob.q_degree
-    q = np.zeros(m + 1)
-    q[0] = prob.alpha
-    q -= prob.h_matrix @ lam
-    maps0, maps1 = _reconstruction_maps(m)
-    residual = 0.0
-    for l in range(m + 1):
-        rec = float(np.sum(maps0[l] * G0))
-        if G1 is not None:
-            rec += float(np.sum(maps1[l] * G1))
-        residual = max(residual, abs(rec - q[l]))
-    eigs = [float(np.linalg.eigvalsh(G0)[0])]
-    blocks = [G0]
-    if G1 is not None:
-        eigs.append(float(np.linalg.eigvalsh(G1)[0]))
-        blocks.append(G1)
-    return SOSCertificate(gram_blocks=tuple(blocks),
-                          matching_residual=residual,
-                          min_eigenvalue=min(eigs))
+    Every lambda-block matrix is diagonal, and X = Z = I starts the kernel
+    diagonal there, so its iterates stay exactly diagonal: the block acts as
+    a nonnegative orthant.
+    """
+    K = prob.q_degree + 2
+    A = [np.concatenate([M, np.zeros((1,) + M.shape[1:])])
+         for M in _reconstruction_maps(prob.q_degree) if M.shape[1] > 0]
+    lam_rows = np.vstack([prob.h_matrix, np.ones(len(prob.degrees))])
+    A.append(lam_rows[:, :, None] * np.eye(len(prob.degrees)))
+    C = [np.zeros(M.shape[1:]) for M in A[:-1]] + [np.diag(-prob.objective)]
+    b = np.zeros(K)
+    b[0] = prob.alpha
+    b[-1] = 1.0
+    return _BlockSDP(C, A, b)
 
 
 def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
-    """Phase-I feasibility probe, then the rate-maximizing SDP.
+    """The rate-maximizing SDP, one interior-point solve.
 
-    Returns (SDPSolution, SOSCertificate | None).  Deterministic for
-    identical inputs.
+    An alpha below the feasibility floor (the test the LP path applies) is
+    reported infeasible without a solve.  Returns (SDPSolution,
+    SOSCertificate | None).  Deterministic for identical inputs.
     """
-    nl = len(prob.degrees)
-
-    sdp1, lam_off, g1_present = _assemble(prob, phase1=True)
-    X1, _, _, it1, status1 = sdp1.solve(gap_tol=tol)
-    t_val = float(X1[-1][0, 0])
-    if status1 == "optimal" and t_val > PHASE1_TOL:
+    floor = certify.feasibility_floor(prob.rho, prob.epsilon, prob.degrees[-1])
+    if prob.alpha < floor - certify.FEASIBILITY_TOL:
         sol = SDPSolution(lambda_coeffs={}, objective=float("nan"),
-                          duality_gap=float("nan"), iterations=it1,
+                          duality_gap=float("nan"), iterations=0,
                           status="infeasible")
         return sol, None
 
-    sdp2, lam_off, g1_present = _assemble(prob, phase1=False)
-    X, y, Z, it2, status2 = sdp2.solve(gap_tol=tol)
-    lam = np.array([float(X[lam_off + i][0, 0]) for i in range(nl)])
-    lam = np.clip(lam, 0.0, None)
+    sdp = _assemble(prob)
+    X, _, Z, iterations, status = sdp.solve(gap_tol=tol)
+    lam = np.clip(np.diag(X[-1]), 0.0, None)
     lam = lam / lam.sum()
-    lambda_coeffs = {prob.degrees[i]: float(lam[i]) for i in range(nl)
-                     if lam[i] > 1e-12}
-    objective = float(prob.objective @ lam)
-    gap = float(sdp2._inner(X, Z))
-    G0 = X[0]
-    G1 = X[1] if g1_present else None
-    cert = _certificate_from_blocks(prob, G0, G1, lam)
-    sol = SDPSolution(lambda_coeffs=lambda_coeffs, objective=objective,
-                      duality_gap=gap, iterations=it1 + it2, status=status2)
+    lambda_coeffs = {d: float(c) for d, c in zip(prob.degrees, lam)
+                     if c > 1e-12}
+    blocks = tuple(X[:-1])
+    residual = np.abs(_gram_coeffs(prob.q_degree, blocks)
+                      - prob.slack_coeffs(lam))
+    cert = SOSCertificate(
+        gram_blocks=blocks, matching_residual=float(residual.max()),
+        min_eigenvalue=min(float(np.linalg.eigvalsh(G)[0]) for G in blocks))
+    sol = SDPSolution(lambda_coeffs=lambda_coeffs,
+                      objective=float(prob.objective @ lam),
+                      duality_gap=float(sdp._inner(X, Z)),
+                      iterations=iterations, status=status)
     return sol, cert
 
 
@@ -520,9 +465,8 @@ def check_certificate(q: Polynomial, cert: SOSCertificate) -> float:
     from q.  (Eigenvalues are available via ``cert.min_eigenvalue`` or a
     fresh ``certificate_min_eigenvalue``.)"""
     G0 = cert.gram_blocks[0]
-    G1 = cert.gram_blocks[1] if len(cert.gram_blocks) > 1 else None
     s0 = G0.shape[0]
-    s1 = G1.shape[0] if G1 is not None and G1.size > 0 else 0
+    s1 = cert.gram_blocks[1].shape[0] if len(cert.gram_blocks) > 1 else 0
     # Infer the certified degree from the block shapes; q may sit below it
     # when its true leading coefficient underflows the trim tolerance.
     if s1 == s0:
@@ -538,17 +482,9 @@ def check_certificate(q: Polynomial, cert: SOSCertificate) -> float:
         raise ValueError(
             f"polynomial degree {q.degree} exceeds certified degree {m}")
 
-    maps0, maps1 = _reconstruction_maps(m)
-    coeffs = np.zeros(m + 1)
     target = np.zeros(m + 1)
     target[: q.coeffs.size] = q.coeffs
-    residual = 0.0
-    for l in range(m + 1):
-        coeffs[l] = float(np.sum(maps0[l] * G0))
-        if G1 is not None and s1 > 0:
-            coeffs[l] += float(np.sum(maps1[l] * G1))
-        residual = max(residual, abs(coeffs[l] - target[l]))
-    return residual
+    return float(np.max(np.abs(_gram_coeffs(m, cert.gram_blocks) - target)))
 
 
 def certificate_min_eigenvalue(cert: SOSCertificate) -> float:

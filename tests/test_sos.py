@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from ldpcdesign.certify import min_normalized_slack
+from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
-from ldpcdesign.polynomials import Polynomial, poly_from_edge_coeffs
+from ldpcdesign.polynomials import Polynomial, poly_from_edge_coeffs, rate_and_gap
 from ldpcdesign.sos import (
     SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
     check_certificate, solve_sdp)
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
+RHO_X4 = poly_from_edge_coeffs({5: 1.0})
 
 
 def _gram_poly(G):
@@ -82,15 +83,15 @@ def test_solve_pinned_cubic():
 
 
 def test_solve_matches_lp_path():
-    req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=6)
-    sol, cert = solve_sdp(build_sos_problem(req))
-    lp_res = solve_semi_infinite(req)
-    assert sol.status == "optimal"
-    rate_sdp = 1.0 - RHO_X3.integral01() / sum(
-        c / i for i, c in sol.lambda_coeffs.items())
-    assert rate_sdp == pytest.approx(lp_res.rate, abs=1e-3)
-    assert cert.matching_residual <= 1e-8
-    assert cert.min_eigenvalue >= -1e-8
+    for d_v, alpha in ((6, 1.0), (10, 0.5), (10, 1.0)):
+        req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=alpha, d_v=d_v)
+        sol, cert = solve_sdp(build_sos_problem(req))
+        lp_res = solve_semi_infinite(req)
+        assert sol.status == "optimal"
+        rate_sdp, _ = rate_and_gap(sol.lambda_coeffs, RHO_X3, 0.3)
+        assert rate_sdp == pytest.approx(lp_res.rate, abs=1e-8)
+        assert cert.matching_residual <= 1e-8
+        assert cert.min_eigenvalue >= -1e-8
 
 
 def test_solve_below_floor_infeasible():
@@ -99,6 +100,20 @@ def test_solve_below_floor_infeasible():
     assert sol.status == "infeasible"
     assert cert is None
     assert sol.lambda_coeffs == {}
+    # Both paths share one infeasibility rule: the feasibility floor.
+    for rho, epsilon, d_v in ((RHO_X3, 0.3, 10), (RHO_X4, 0.25, 8)):
+        floor = feasibility_floor(rho, epsilon, d_v)
+        below = SolveRequest(rho=rho, epsilon=epsilon, alpha=floor - 1e-3,
+                             d_v=d_v)
+        sol, cert = solve_sdp(build_sos_problem(below))
+        assert sol.status == "infeasible" and cert is None
+        assert solve_semi_infinite(below).status == "infeasible"
+        above = SolveRequest(rho=rho, epsilon=epsilon, alpha=floor + 1e-3,
+                             d_v=d_v)
+        sol, cert = solve_sdp(build_sos_problem(above))
+        assert sol.status == "optimal"
+        assert cert.matching_residual <= 1e-8
+        assert cert.min_eigenvalue >= -1e-8
 
 
 def test_solution_soundness_and_duality_gap():
