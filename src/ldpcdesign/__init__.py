@@ -5,7 +5,7 @@ from .certify import MarginReport, feasibility_floor, min_normalized_slack, norm
 from .desim import DETrace, ThresholdResult, de_step, de_trace, empirical_contraction, threshold
 from .experiment import ExperimentConfig, SweepRow, emit_csv, parse_config, render_config, run_sweep
 from .lp import (LPStandardForm, OptimizationResult, SolveRequest, build_discretized_lp,
-                 chebyshev_grid, fine_grid_objective, simplex_solve, solve_semi_infinite)
+                 chebyshev_grid, simplex_solve, solve_semi_infinite)
 from .polynomials import (ChannelSpec, DegreeDistribution, Polynomial, RateReport,
                           compose_inner, constraint_basis, design_rate,
                           poly_from_edge_coeffs, rate_and_gap, rate_report)
@@ -18,7 +18,7 @@ __all__ = [
     "DETrace", "ThresholdResult", "de_step", "de_trace", "empirical_contraction", "threshold",
     "ExperimentConfig", "SweepRow", "emit_csv", "parse_config", "render_config", "run_sweep",
     "LPStandardForm", "OptimizationResult", "SolveRequest", "build_discretized_lp",
-    "chebyshev_grid", "fine_grid_objective", "simplex_solve", "solve_semi_infinite",
+    "chebyshev_grid", "simplex_solve", "solve_semi_infinite",
     "ChannelSpec", "DegreeDistribution", "Polynomial", "RateReport",
     "compose_inner", "constraint_basis", "design_rate",
     "poly_from_edge_coeffs", "rate_and_gap", "rate_report",

@@ -17,7 +17,7 @@ from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_alpha_va
 from .lp import SolveRequest, solve_semi_infinite
 from .polynomials import (DegreeDistribution, Polynomial, poly_from_edge_coeffs,
                           rate_and_gap)
-from .sos import build_sos_problem, check_certificate, solve_sdp
+from .sos import EIG_TOL, MATCHING_TOL, build_sos_problem, check_certificate, solve_sdp
 from .svgplot import NoPlottableRows, emit_svg_plot
 
 EXIT_OK = 0
@@ -169,7 +169,7 @@ def cmd_certify_sos(args) -> int:
     print(f"objective = {sol.objective:.12g}")
     print(f"matching_residual = {residual:.3e}")
     print(f"min_eigenvalue = {cert.min_eigenvalue:.3e}")
-    ok = residual <= 1e-8 and cert.min_eigenvalue >= -1e-8
+    ok = residual <= MATCHING_TOL and cert.min_eigenvalue >= -EIG_TOL
     print(f"certificate_valid = {ok}")
     return EXIT_OK if ok else EXIT_INFEASIBLE
 

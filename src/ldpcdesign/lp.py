@@ -21,6 +21,7 @@ MAX_CUTS = 200
 CUT_DEDUP_TOL = 1e-10
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 200_000
+_BLOCK_ENTRIES = 32_768  # 256 KB of float64 per pivot-update temporary
 
 
 def chebyshev_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -100,7 +101,16 @@ def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
 
 
 class _SimplexState:
-    """Dense tableau T = [B^-1 N | B^-1 b] driven with Bland's rule."""
+    """Dense tableau T = [B^-1 N | B^-1 b] driven with Bland's rule.
+
+    A pivot divides the pivot row, then applies a rank-1 update to the row
+    slices above and below it, one block of rows at a time.  Every entry
+    gets the same IEEE multiply and subtract as a row-by-row elimination.
+    A block holds about _BLOCK_ENTRIES entries, so the product temporary
+    stays in cache: a tall cutting-plane tableau takes one block per side,
+    the wide tableau of a dense-grid dual one row at a time.  Basic slices
+    also avoid the copies of a fancy-indexed gather/scatter.
+    """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray):
         self.T = T
@@ -110,18 +120,17 @@ class _SimplexState:
     def run(self, cost: np.ndarray, blocked: set) -> str:
         """Minimize cost.x from the current basis.  Returns optimal|unbounded."""
         T, basis = self.T, self.basis
-        m = T.shape[0]
+        skip = np.fromiter(blocked, dtype=int, count=len(blocked))
         while True:
             if self.pivots > _MAX_PIVOTS:
                 raise RuntimeError("simplex pivot limit exceeded")
             cb = cost[basis]
             reduced = cost[:-1] - cb @ T[:, :-1]
-            enter = -1
-            for j in np.nonzero(reduced < -_PIVOT_TOL)[0]:
-                if j not in blocked:
-                    enter = int(j)
-                    break
-            if enter < 0:
+            # Bland: the lowest-index improving column that is not blocked.
+            improving = reduced < -_PIVOT_TOL
+            improving[skip] = False
+            enter = int(np.argmax(improving))
+            if not improving[enter]:
                 return "optimal"
             col = T[:, enter]
             rows = np.nonzero(col > _PIVOT_TOL)[0]
@@ -137,9 +146,12 @@ class _SimplexState:
     def _pivot(self, row: int, col: int):
         T, basis = self.T, self.basis
         T[row] /= T[row, col]
-        for i in range(T.shape[0]):
-            if i != row and T[i, col] != 0.0:
-                T[i] -= T[i, col] * T[row]
+        r = T[row]
+        step = max(1, _BLOCK_ENTRIES // T.shape[1])
+        for side in (T[:row], T[row + 1:]):
+            for i in range(0, side.shape[0], step):
+                block = side[i:i + step]
+                block -= block[:, col, None] * r
         basis[row] = col
         self.pivots += 1
 
@@ -307,24 +319,3 @@ def _relaxed_report(result: OptimizationResult, req: SolveRequest,
     if result.margin.min_slack >= -100.0 * req.tol:
         return result
     return _result_from_lambda(req, values, "iteration-limit", iterations, cuts)
-
-
-def fine_grid_objective(req: SolveRequest, num_points: int = 20_000) -> float:
-    """Referee objective: one-shot LP on a uniform grid, solved through the
-    same simplex kernel applied to the dual (few rows, many columns)."""
-    xs = np.arange(1, num_points + 1) / num_points
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-    G = np.column_stack([g(xs) for g in basis])  # num_points x n
-    n = req.d_v - 1
-    c = np.array([1.0 / i for i in range(2, req.d_v + 1)])
-    b = req.alpha * xs
-    # Dual of {max c.l | G l <= b, 1.l = 1, l >= 0}:
-    #   min b.y + mu  s.t.  G^T y + mu >= c, y >= 0, mu free (split mu).
-    A_d = np.hstack([-G.T, -np.ones((n, 1)), np.ones((n, 1))])
-    c_d = np.concatenate([-b, [-1.0, 1.0]])
-    lp = LPStandardForm(c=c_d, A=A_d, b=-c, E=np.zeros((0, num_points + 2)),
-                        d=np.zeros(0))
-    _, obj, status = simplex_solve(lp)
-    if status != "optimal":
-        raise RuntimeError(f"fine-grid oracle LP ended with status {status}")
-    return -obj

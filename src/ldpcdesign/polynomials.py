@@ -1,9 +1,17 @@
 """Polynomial arithmetic and degree-distribution types for LDPC ensemble design.
 
 Everything downstream (density evolution, the certifier, both optimizers)
-works with dense monomial-basis polynomials over [0, 1].  Degrees stay small
-at the scales considered here, so 64-bit floats and repeated multiplication
-are adequate; no sparse or arbitrary-precision representation is used.
+works with dense monomial-basis polynomials over [0, 1] in 64-bit floats,
+built by repeated multiplication.
+
+Known limitation: the monomial expansion of f^(i-1) in ``constraint_basis``
+cancels catastrophically at high degree.  Its coefficients reach about 1e21
+at d_v = 15, so an expanded slack polynomial can differ from direct
+evaluation in every digit (-8.65 against +0.099 at x = 1 for
+lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347), and the
+threshold bisection built on it misses the true threshold by more than 2e-6
+on 37 of the 100 pairs of the benchmark's de-analysis panel.  A
+better-conditioned or exact certificate is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -24,7 +32,9 @@ SIMPLEX_TOL = 1e-12
 class Polynomial:
     """Dense real polynomial; ``coeffs[k]`` is the coefficient of x^k."""
 
-    __slots__ = ("_coeffs",)
+    # _horner: the coefficients from the highest degree down, as Python
+    # floats, so scalar evaluation does no per-term numpy scalar work.
+    __slots__ = ("_coeffs", "_horner")
 
     def __init__(self, coeffs: Iterable[float]):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
@@ -38,6 +48,7 @@ class Polynomial:
         arr = arr[:last]
         arr.setflags(write=False)
         self._coeffs = arr
+        self._horner = tuple(arr[::-1].tolist())
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -48,12 +59,24 @@ class Polynomial:
         return self._coeffs.size - 1
 
     def __call__(self, x):
-        """Evaluate by Horner accumulation; accepts scalars or arrays."""
-        result = np.zeros_like(np.asarray(x, dtype=float))
-        for c in self._coeffs[::-1]:
-            result = result * x + c
+        """Evaluate by Horner's rule; accepts scalars or arrays.
+
+        A scalar is evaluated in Python floats and an array elementwise in
+        place; both paths make the same IEEE multiply and add per
+        coefficient, so they round identically:
+        ``p(x) == p(np.array([x]))[0]`` bit for bit.
+        """
         if np.ndim(x) == 0:
-            return float(result)
+            x = float(x)
+            r = 0.0
+            for c in self._horner:
+                r = r * x + c
+            return r
+        x = np.asarray(x, dtype=float)
+        result = np.zeros_like(x)
+        for c in self._horner:
+            result *= x
+            result += c
         return result
 
     def __add__(self, other) -> "Polynomial":
@@ -260,23 +283,24 @@ def constraint_basis(rho: Polynomial, epsilon: float, d_v: int) -> list[Polynomi
     return basis
 
 
+def _rate(lambda_coeffs: Mapping[int, float], rho: Polynomial) -> float:
+    """R = 1 - (int_0^1 rho) / (sum_i lambda_i / i)."""
+    return 1.0 - rho.integral01() / sum(c / i for i, c in lambda_coeffs.items())
+
+
 def design_rate(dist: DegreeDistribution) -> float:
-    """R = 1 - (sum_j rho_j / j) / (sum_i lambda_i / i)."""
-    rho_mean = sum(c / j for j, c in dist.rho_coeffs.items())
-    lam_mean = sum(c / i for i, c in dist.lambda_coeffs.items())
-    return 1.0 - rho_mean / lam_mean
+    """Design rate of a degree-distribution pair, by the same formula as
+    ``rate_and_gap``."""
+    return _rate(dist.lambda_coeffs, dist.rho_polynomial())
 
 
 def rate_and_gap(lambda_coeffs: Mapping[int, float], rho: Polynomial,
                  epsilon: float) -> tuple[float, float]:
     """R = 1 - (int_0^1 rho) / (sum_i lambda_i / i) and the gap 1 - R / (1 - epsilon)."""
-    rho_mean = rho.integral01()
-    lam_mean = sum(c / i for i, c in lambda_coeffs.items())
-    rate = 1.0 - rho_mean / lam_mean
+    rate = _rate(lambda_coeffs, rho)
     return rate, 1.0 - rate / (1.0 - epsilon)
 
 
 def rate_report(dist: DegreeDistribution, ch: ChannelSpec) -> RateReport:
-    rate = design_rate(dist)
-    capacity = ch.capacity
-    return RateReport(rate=rate, capacity=capacity, gap=1.0 - rate / capacity)
+    rate, gap = rate_and_gap(dist.lambda_coeffs, dist.rho_polynomial(), ch.epsilon)
+    return RateReport(rate=rate, capacity=ch.capacity, gap=gap)

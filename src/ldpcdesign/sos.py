@@ -26,6 +26,8 @@ from . import certify
 from .lp import SolveRequest
 from .polynomials import Polynomial, constraint_basis
 
+# A returned certificate is valid when its coefficient-matching residual is
+# at most MATCHING_TOL and its smallest Gram eigenvalue at least -EIG_TOL.
 MATCHING_TOL = 1e-8
 EIG_TOL = 1e-8
 MAX_IPM_ITERS = 500

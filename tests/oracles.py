@@ -1,13 +1,18 @@
-"""Independent reference implementations used only by the test suite.
+"""Reference implementations used only by the test suite.
 
-These deliberately avoid the library's solver code paths: the LP oracle
-enumerates vertices by brute force, and the threshold oracle scans the DE
-update map for fixed points.
+The vertex-enumeration LP oracle and the threshold oracle deliberately
+avoid the library's solver code paths: the first enumerates vertices by
+brute force, the second scans the DE update map for fixed points.  The
+fine-grid objective is a referee for the cutting-plane loop only: it runs
+the library's simplex kernel once, on the dual of a dense-grid LP.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from ldpcdesign.lp import LPStandardForm, simplex_solve
+from ldpcdesign.polynomials import constraint_basis
 
 
 def brute_force_lp(c, A, b, E, d):
@@ -69,3 +74,24 @@ def bisect_threshold_by_recursion(lam_poly, rho_poly, tol=1e-4):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def fine_grid_objective(req, num_points=20_000):
+    """Referee objective: one-shot LP on a uniform grid, solved through the
+    same simplex kernel applied to the dual (few rows, many columns)."""
+    xs = np.arange(1, num_points + 1) / num_points
+    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
+    G = np.column_stack([g(xs) for g in basis])  # num_points x n
+    n = req.d_v - 1
+    c = np.array([1.0 / i for i in range(2, req.d_v + 1)])
+    b = req.alpha * xs
+    # Dual of {max c.l | G l <= b, 1.l = 1, l >= 0}:
+    #   min b.y + mu  s.t.  G^T y + mu >= c, y >= 0, mu free (split mu).
+    A_d = np.hstack([-G.T, -np.ones((n, 1)), np.ones((n, 1))])
+    c_d = np.concatenate([-b, [-1.0, 1.0]])
+    lp = LPStandardForm(c=c_d, A=A_d, b=-c, E=np.zeros((0, num_points + 2)),
+                        d=np.zeros(0))
+    _, obj, status = simplex_solve(lp)
+    if status != "optimal":
+        raise RuntimeError(f"fine-grid oracle LP ended with status {status}")
+    return -obj

@@ -14,15 +14,15 @@ from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.cli import main
 from ldpcdesign.desim import de_trace, empirical_contraction, threshold
 from ldpcdesign.lp import (
-    LPStandardForm, SolveRequest, build_discretized_lp, fine_grid_objective,
-    simplex_solve, solve_semi_infinite)
+    LPStandardForm, SolveRequest, build_discretized_lp, simplex_solve,
+    solve_semi_infinite)
 from ldpcdesign.polynomials import (
     DegreeDistribution, Polynomial, design_rate, poly_from_edge_coeffs)
 from ldpcdesign.sos import (
     SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
     check_certificate, solve_sdp)
 
-from oracles import bisect_threshold_by_recursion, brute_force_lp
+from oracles import bisect_threshold_by_recursion, brute_force_lp, fine_grid_objective
 from test_sos import _interval_sos_poly
 
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})

@@ -5,11 +5,11 @@ import pytest
 
 from ldpcdesign.desim import de_trace, empirical_contraction
 from ldpcdesign.lp import (
-    LPStandardForm, SolveRequest, build_discretized_lp, chebyshev_grid,
-    fine_grid_objective, simplex_solve, solve_semi_infinite)
+    LPStandardForm, SolveRequest, _SimplexState, build_discretized_lp,
+    chebyshev_grid, simplex_solve, solve_semi_infinite)
 from ldpcdesign.polynomials import DegreeDistribution, poly_from_edge_coeffs
 
-from oracles import brute_force_lp
+from oracles import brute_force_lp, fine_grid_objective
 
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
 
@@ -59,6 +59,49 @@ def test_build_lp_alpha_scales_rhs():
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6, grid=grid))
     assert np.allclose(lp2.b, 0.5 * lp1.b)
     assert np.allclose(lp2.A, lp1.A)
+
+
+def _pivot_by_rows(T, row, col):
+    """Row-by-row elimination: the referee for the blocked pivot."""
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+
+
+@pytest.mark.parametrize("shape", [(65, 78), (40, 2000), (5, 20_013)])
+def test_pivot_matches_row_elimination(shape):
+    # Tall tableaux come from the cutting-plane LPs, wide ones from a
+    # dense-grid dual; the three shapes update in one block per side, in
+    # several blocks with a remainder, and a row at a time.  Successive
+    # pivots on one tableau, with the pivot row first, last and inside, and
+    # zeros in the pivot column.
+    m, n = shape
+    rng = np.random.default_rng(m)
+    T = rng.uniform(-1.0, 1.0, size=shape)
+    state = _SimplexState(T, np.arange(m))
+    ref = T.copy()
+    for k, row in enumerate([0, m - 1, m // 2, 0, m - 1] + rng.integers(0, m, 5).tolist()):
+        col = int(rng.integers(0, n - 1))
+        zeros = rng.random(m) < 0.3
+        zeros[row] = False
+        state.T[zeros, col] = ref[zeros, col] = 0.0
+        state.T[row, col] = ref[row, col] = rng.uniform(0.5, 2.0)
+        state._pivot(row, col)
+        _pivot_by_rows(ref, row, col)
+        assert np.array_equal(state.T, ref)
+        assert state.basis[row] == col and state.pivots == k + 1
+
+
+def test_bland_entering_column_skips_blocked():
+    # Columns 0 and 1 both improve; Bland enters the lower index unless it
+    # is blocked (as the artificial columns are in phase 2).
+    for blocked, entered in ((set(), 0), ({0}, 1)):
+        T = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
+        state = _SimplexState(T, np.array([3]))
+        cost = np.array([-1.0, -1.0, 0.0, 0.0, 0.0])
+        assert state.run(cost, blocked) == "optimal"
+        assert state.basis.tolist() == [entered] and state.pivots == 1
 
 
 def test_simplex_textbook():

@@ -24,6 +24,21 @@ def test_eval_cube():
     assert X3(0.5) == pytest.approx(0.125, abs=1e-15)
 
 
+def test_scalar_and_array_evaluation_round_identically():
+    # The certifier ranks grid values and refined scalar values in one
+    # argmin, so both evaluation paths must round the same way.  A
+    # high-degree basis polynomial with large cancelling coefficients makes
+    # any difference in the arithmetic show.
+    p = constraint_basis(poly_from_edge_coeffs({11: 1.0}), 0.347, 15)[-1]
+    xs = np.linspace(0.0, 1.0, 200)
+    scalar = np.array([p(x) for x in xs.tolist()])
+    assert all(type(p(x)) is float for x in (0.5, np.float64(0.5), np.array(0.5)))
+    assert np.array_equal(scalar, p(xs))
+    for x, v in zip(xs.tolist(), scalar):
+        assert p(np.array([x]))[0] == v
+        assert p(np.float64(x)) == v
+
+
 def test_trailing_coefficients_trimmed():
     p = Polynomial([1.0, 2.0, 0.0, 1e-16])
     assert p.degree == 1
