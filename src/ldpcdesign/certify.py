@@ -50,8 +50,13 @@ def normalized_slack_poly(
     for i, c in dist_lambda.items():
         if c < 0.0:
             raise ValueError(f"lambda coefficient for degree {i} is negative")
-    d_v = max(dist_lambda)
-    basis = constraint_basis(rho, epsilon, d_v)
+    basis = constraint_basis(rho, epsilon, max(dist_lambda))
+    return _slack_poly(dist_lambda, basis, alpha)
+
+
+def _slack_poly(dist_lambda: Mapping[int, float], basis: list[Polynomial],
+                alpha: float) -> Polynomial:
+    """s(x) over a constraint basis that reaches degree max(dist_lambda)."""
     s = Polynomial([float(alpha)])
     for i, c in dist_lambda.items():
         if c == 0.0:
@@ -99,7 +104,11 @@ def min_normalized_slack(
     alpha: float,
 ) -> MarginReport:
     """Global minimum of the normalized slack over [0, 1]."""
-    s = normalized_slack_poly(dist_lambda, rho, epsilon, alpha)
+    return _margin(normalized_slack_poly(dist_lambda, rho, epsilon, alpha))
+
+
+def _margin(s: Polynomial) -> MarginReport:
+    """Global minimum of the normalized slack polynomial s over [0, 1]."""
     min_slack, argmin_x = _extremum_on_unit_interval(s, minimize=True)
     return MarginReport(
         min_slack=min_slack,
@@ -116,7 +125,10 @@ def feasibility_floor(rho: Polynomial, epsilon: float, d_v: int) -> float:
     for every i <= d_v, putting all mass on degree d_v minimizes the
     constraint left-hand side pointwise.
     """
-    basis = constraint_basis(rho, epsilon, d_v)
-    h = basis[-1].quotient_by_x()
-    value, _ = _extremum_on_unit_interval(h, minimize=False)
+    return _floor(constraint_basis(rho, epsilon, d_v))
+
+
+def _floor(basis: list[Polynomial]) -> float:
+    """The feasibility floor from the constraint basis of degrees 2..d_v."""
+    value, _ = _extremum_on_unit_interval(basis[-1].quotient_by_x(), minimize=False)
     return value

@@ -90,11 +90,17 @@ def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
     """Variables lambda_2..lambda_{d_v}; max sum lambda_i / i; simplex
     equality; one inequality sum_i lambda_i g_i(x_k) <= alpha x_k per grid
     point."""
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-    n = req.d_v - 1
-    c = np.array([1.0 / i for i in range(2, req.d_v + 1)])
-    A = np.column_stack([g(req.grid) for g in basis])
-    b = req.alpha * req.grid
+    return _discretized_lp(constraint_basis(req.rho, req.epsilon, req.d_v),
+                           req.alpha, req.grid)
+
+
+def _discretized_lp(basis: list[Polynomial], alpha: float,
+                    grid: np.ndarray) -> LPStandardForm:
+    """``build_discretized_lp`` over the constraint basis of degrees 2..d_v."""
+    n = len(basis)
+    c = np.array([1.0 / i for i in range(2, n + 2)])
+    A = np.column_stack([g(grid) for g in basis])
+    b = alpha * grid
     E = np.ones((1, n))
     d = np.array([1.0])
     return LPStandardForm(c=c, A=A, b=b, E=E, d=d)
@@ -236,12 +242,12 @@ def simplex_solve(lp: LPStandardForm):
     return values, objective, "optimal"
 
 
-def _result_from_lambda(req: SolveRequest, values: np.ndarray, status: str,
-                        iterations: int, cuts: int) -> OptimizationResult:
+def _result_from_lambda(req: SolveRequest, basis: list[Polynomial], values: np.ndarray,
+                        status: str, iterations: int, cuts: int) -> OptimizationResult:
     lam = np.clip(values, 0.0, None)
     lam = lam / lam.sum()
     lambda_coeffs = {i + 2: float(lam[i]) for i in range(lam.size) if lam[i] != 0.0}
-    margin = certify.min_normalized_slack(lambda_coeffs, req.rho, req.epsilon, req.alpha)
+    margin = certify._margin(certify._slack_poly(lambda_coeffs, basis, req.alpha))
     rate, gap = rate_and_gap(lambda_coeffs, req.rho, req.epsilon)
     return OptimizationResult(
         lambda_coeffs=lambda_coeffs, rate=rate, gap=gap, margin=margin,
@@ -264,11 +270,10 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     condition, vacuous in the unnormalized form) is added as the normalized
     limit row sum_i lambda_i * (g_i/x)(0) <= alpha.
     """
-    floor = certify.feasibility_floor(req.rho, req.epsilon, req.d_v)
-    if req.alpha < floor - certify.FEASIBILITY_TOL:
+    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
+    if req.alpha < certify._floor(basis) - certify.FEASIBILITY_TOL:
         return _infeasible()
 
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
     endpoint_row = np.array([g.quotient_by_x()(0.0) for g in basis])
 
     grid = np.sort(np.asarray(req.grid, dtype=float))
@@ -276,9 +281,7 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     iterations = 0
     best = None
     for cuts in range(MAX_CUTS + 1):
-        lp = build_discretized_lp(
-            SolveRequest(rho=req.rho, epsilon=req.epsilon, alpha=req.alpha,
-                         d_v=req.d_v, grid=grid, tol=req.tol))
+        lp = _discretized_lp(basis, req.alpha, grid)
         if endpoint_cut:
             lp = LPStandardForm(
                 c=lp.c,
@@ -289,7 +292,7 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
         iterations += 1
         if status != "optimal":
             return _infeasible(iterations, cuts)
-        result = _result_from_lambda(req, values, "optimal", iterations, cuts)
+        result = _result_from_lambda(req, basis, values, "optimal", iterations, cuts)
         if result.margin.min_slack >= -req.tol:
             return result
         if result.margin.feasible and (best is None or result.rate > best.rate):
@@ -297,25 +300,25 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
         cut = result.margin.argmin_x
         if cut < CUT_DEDUP_TOL:
             if endpoint_cut:
-                return _relaxed_report(result, req, values, iterations, cuts)
+                return _relaxed_report(result, req, basis, values, iterations, cuts)
             endpoint_cut = True
             continue
         if np.min(np.abs(grid - cut)) < CUT_DEDUP_TOL:
-            return _relaxed_report(result, req, values, iterations, cuts)
+            return _relaxed_report(result, req, basis, values, iterations, cuts)
         grid = np.sort(np.append(grid, cut))
     if best is not None:
         return OptimizationResult(
             lambda_coeffs=best.lambda_coeffs, rate=best.rate, gap=best.gap,
             margin=best.margin, status="iteration-limit",
             solver_iterations=iterations, cuts_added=MAX_CUTS)
-    return _result_from_lambda(req, values, "iteration-limit", iterations, MAX_CUTS)
+    return _result_from_lambda(req, basis, values, "iteration-limit", iterations, MAX_CUTS)
 
 
-def _relaxed_report(result: OptimizationResult, req: SolveRequest,
+def _relaxed_report(result: OptimizationResult, req: SolveRequest, basis: list[Polynomial],
                     values: np.ndarray, iterations: int, cuts: int) -> OptimizationResult:
     # A repeat cut means the certifier minimum sits on an already-active
     # constraint; further cuts cannot help.  Report at relaxed tolerance
     # instead of looping.
     if result.margin.min_slack >= -100.0 * req.tol:
         return result
-    return _result_from_lambda(req, values, "iteration-limit", iterations, cuts)
+    return _result_from_lambda(req, basis, values, "iteration-limit", iterations, cuts)

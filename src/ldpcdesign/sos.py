@@ -37,7 +37,8 @@ MAX_IPM_ITERS = 500
 # the search direction degrades into noise before the residuals reach
 # tolerance; the extra mantissa bits of longdouble keep the last few
 # iterations productive.  numpy.linalg does not accept longdouble, so the
-# tiny dense factorizations involved are written out below.
+# tiny dense factorizations are written out below with one vector operation
+# per row or column; each matrix of an iteration is factored once.
 _LD = np.longdouble
 
 
@@ -50,8 +51,7 @@ def _cholesky_ld(M):
         if s <= 0.0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         L[j, j] = np.sqrt(s)
-        for i in range(j + 1, n):
-            L[i, j] = (M[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
+        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return L
 
 
@@ -61,30 +61,47 @@ def _inv_from_cholesky(L):
     Li = np.zeros((n, n), dtype=_LD)
     for i in range(n):
         Li[i, i] = 1.0 / L[i, i]
-        for j in range(i):
-            Li[i, j] = -np.dot(L[i, j:i], Li[j:i, j]) / L[i, i]
+        Li[i, :i] = -(L[i, :i] @ Li[:i, :i]) / L[i, i]
     return Li.T @ Li
 
 
-def _solve_dense_ld(A, rhs):
-    """Gaussian elimination with partial pivoting in extended precision."""
-    A = np.array(A, dtype=_LD)
-    rhs = np.array(rhs, dtype=_LD)
-    n = A.shape[0]
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
+def _lu_ld(A):
+    """LU with partial pivoting in extended precision: (LU, perm) with
+    A[perm] = L U, the multipliers of unit L below the diagonal and U on and
+    above it.  Raises LinAlgError on an exactly zero pivot."""
+    LU = np.array(A, dtype=_LD)
+    perm = np.arange(len(LU))
+    for k in range(len(LU)):
+        p = k + int(np.argmax(np.abs(LU[k:, k])))
+        if LU[p, k] == 0.0:
             raise np.linalg.LinAlgError("singular system")
         if p != k:
-            A[[k, p]] = A[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        mult = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= np.outer(mult, A[k, k:])
-        rhs[k + 1:] -= mult * rhs[k]
-    x = np.zeros(n, dtype=_LD)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - np.dot(A[k, k + 1:], x[k + 1:])) / A[k, k]
+            LU[[k, p]] = LU[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        LU[k + 1:, k] /= LU[k, k]
+        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
+    return LU, perm
+
+
+def _lu_solve_ld(factors, rhs):
+    """x with A x = rhs from _lu_ld(A): all row swaps, then substitutions."""
+    LU, perm = factors
+    x = np.array(rhs, dtype=_LD)[perm]
+    for k in range(x.size - 1):
+        x[k + 1:] -= LU[k + 1:, k] * x[k]
+    for k in range(x.size - 1, -1, -1):
+        x[k] = (x[k] - np.dot(LU[k, k + 1:], x[k + 1:])) / LU[k, k]
     return x
+
+
+def _ld_solver(A):
+    """rhs -> A^-1 rhs from one LU of A, or float64 lstsq if A is singular."""
+    try:
+        factors = _lu_ld(A)
+    except np.linalg.LinAlgError:
+        return lambda rhs: np.linalg.lstsq(A.astype(float), rhs.astype(float),
+                                           rcond=None)[0]
+    return lambda rhs: _lu_solve_ld(factors, rhs)
 
 
 @dataclass(frozen=True)
@@ -200,7 +217,7 @@ class _BlockSDP:
     def _adjoint(self, y):
         return [np.einsum("k,kij->ij", y, A) for A in self.A]
 
-    def _feasibility_correction(self, dX, rp, X, gram):
+    def _feasibility_correction(self, dX, rp, X, solve_gram):
         """Adjust dX so A(dX) = rp holds to roundoff.
 
         The Newton direction satisfies this only up to the (often huge)
@@ -208,15 +225,11 @@ class _BlockSDP:
         residual stops contracting.  The adjustment is least-norm in the
         X-scaled metric (dX += X W X), which keeps it compatible with the
         cone: directions where X is nearly singular are barely perturbed.
-        ``gram`` is that metric's Gram matrix, tr(A_k X A_h X).
+        ``solve_gram`` solves with that metric's Gram matrix tr(A_k X A_h X),
+        which is factored once per iteration.
         """
         for _ in range(3):
-            err = rp - self._apply(dX)
-            try:
-                w = _solve_dense_ld(gram, err)
-            except np.linalg.LinAlgError:
-                w = np.linalg.lstsq(gram.astype(float), err.astype(float),
-                                    rcond=None)[0]
+            w = solve_gram(rp - self._apply(dX))
             if not np.all(np.isfinite(w.astype(float))):
                 break
             dX = [D + Xb @ W @ Xb for D, Xb, W in zip(dX, X, self._adjoint(w))]
@@ -261,6 +274,7 @@ class _BlockSDP:
         (X, y, Z), so X = Z = I, tau = kappa = 1 is always a strictly
         interior start and infeasibility shows up as tau -> 0 rather than
         as a divergent iterate.  Returns the de-homogenized (X, y, Z).
+        Each iteration factors its Schur and correction Gram matrices once.
 
         The dual residual gets a looser tolerance than the primal one: it
         only backs the duality-gap bound on the reported objective, while
@@ -335,6 +349,7 @@ class _BlockSDP:
             S[:K, K] = -(u + self.b)
             S[K, :K] = self.b - u
             S[K, K] = w + kappa / tau
+            solve_S, solve_gram = _ld_solver(S), _ld_solver(gram)
 
             def directions(sigma):
                 om = 1.0 - sigma
@@ -342,12 +357,7 @@ class _BlockSDP:
                 r1 = om * (rp + qv) + (self.b * tau - rp) - smu * a0
                 r2 = (om * (rg - s_rd) + smu * ctilde - cx
                       + (smu - tau * kappa) / tau)
-                rhs = np.concatenate([r1, np.array([r2], dtype=_LD)])
-                try:
-                    sol = _solve_dense_ld(S, rhs)
-                except np.linalg.LinAlgError:
-                    sol = np.linalg.lstsq(S.astype(float),
-                                          rhs.astype(float), rcond=None)[0]
+                sol = solve_S(np.concatenate([r1, np.array([r2], dtype=_LD)]))
                 dy, dtau = sol[:K], sol[K]
                 AtdY = self._adjoint(dy)
                 dZ = [dtau * C - Ab + om * R
@@ -357,7 +367,7 @@ class _BlockSDP:
                     D = smu * Zib - Xb - Zib @ dZb @ Xb
                     dX.append(0.5 * (D + D.T))
                 dX = self._feasibility_correction(
-                    dX, om * rp + self.b * dtau, X, gram)
+                    dX, om * rp + self.b * dtau, X, solve_gram)
                 dkappa = (smu - tau * kappa - kappa * dtau) / tau
                 return dX, dy, dZ, dtau, dkappa
 

@@ -7,7 +7,8 @@ from ldpcdesign.desim import de_trace, empirical_contraction
 from ldpcdesign.lp import (
     LPStandardForm, SolveRequest, _SimplexState, build_discretized_lp,
     chebyshev_grid, simplex_solve, solve_semi_infinite)
-from ldpcdesign.polynomials import DegreeDistribution, poly_from_edge_coeffs
+from ldpcdesign.polynomials import (
+    DegreeDistribution, constraint_basis, poly_from_edge_coeffs)
 
 from oracles import brute_force_lp, fine_grid_objective
 
@@ -179,6 +180,23 @@ def test_semi_infinite_single_variable():
     assert res.lambda_coeffs == {2: 1.0}
     assert res.rate == pytest.approx(0.5, abs=1e-12)
     assert res.margin.min_slack == pytest.approx(0.1, abs=1e-12)
+
+
+def test_semi_infinite_builds_constraint_basis_once(monkeypatch):
+    # One solve runs the floor, every cut's LP and every certification on
+    # one basis, wherever constraint_basis is looked up.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return constraint_basis(*args)
+
+    for module in ("ldpcdesign.lp", "ldpcdesign.certify"):
+        monkeypatch.setattr(f"{module}.constraint_basis", counting)
+    req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)
+    res = solve_semi_infinite(req)
+    assert res.status == "optimal" and res.solver_iterations == 8
+    assert calls == [(RHO_X3, 0.3, 6)]
 
 
 def test_semi_infinite_below_floor_infeasible():

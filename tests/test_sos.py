@@ -7,7 +7,8 @@ from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
 from ldpcdesign.polynomials import Polynomial, poly_from_edge_coeffs, rate_and_gap
 from ldpcdesign.sos import (
-    SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
+    SOSCertificate, _cholesky_ld, _inv_from_cholesky, _ld_solver, _lu_ld,
+    _lu_solve_ld, build_sos_problem, certificate_min_eigenvalue,
     check_certificate, solve_sdp)
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
@@ -40,6 +41,109 @@ def _interval_sos_poly(m, G0, G1):
         q[: p0.size] += p0
         q[: p1.size] += p1
     return q
+
+
+LD = np.longdouble
+
+
+def _eliminate(A, rhs):
+    """Gaussian elimination with partial pivoting, the row swaps and the
+    right-hand side update interleaved: the referee for the LU pair.
+    Returns the solution and the number of steps that swapped rows."""
+    A = np.array(A, dtype=LD)
+    rhs = np.array(rhs, dtype=LD)
+    n = A.shape[0]
+    swaps = 0
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        if A[p, k] == 0.0:
+            raise np.linalg.LinAlgError("singular system")
+        if p != k:
+            A[[k, p]] = A[[p, k]]
+            rhs[[k, p]] = rhs[[p, k]]
+            swaps += 1
+        mult = A[k + 1:, k] / A[k, k]
+        A[k + 1:, k:] -= np.outer(mult, A[k, k:])
+        rhs[k + 1:] -= mult * rhs[k]
+    x = np.zeros(n, dtype=LD)
+    for k in range(n - 1, -1, -1):
+        x[k] = (rhs[k] - np.dot(A[k, k + 1:], x[k + 1:])) / A[k, k]
+    return x, swaps
+
+
+def _cholesky_by_entries(M):
+    """Scalar-loop Cholesky: the referee for the column version."""
+    n = M.shape[0]
+    L = np.zeros((n, n), dtype=LD)
+    for j in range(n):
+        s = M[j, j] - np.dot(L[j, :j], L[j, :j])
+        if s <= 0.0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        L[j, j] = np.sqrt(s)
+        for i in range(j + 1, n):
+            L[i, j] = (M[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
+    return L
+
+
+def _inv_by_entries(L):
+    """Scalar-loop inverse of L L^T: the referee for the row version."""
+    n = L.shape[0]
+    Li = np.zeros((n, n), dtype=LD)
+    for i in range(n):
+        Li[i, i] = 1.0 / L[i, i]
+        for j in range(i):
+            Li[i, j] = -np.dot(L[i, j:i], Li[j:i, j]) / L[i, i]
+    return Li.T @ Li
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 40])
+def test_lu_solve_matches_elimination(n):
+    # Non-symmetric random matrices swap rows at most steps; SPD or
+    # diagonally dominant ones would never pivot.  One factorization
+    # serves several right-hand sides.
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        A = rng.standard_normal((n, n)).astype(LD) / 3
+        factors = _lu_ld(A)
+        for _ in range(4):
+            b = rng.standard_normal(n).astype(LD)
+            x, swaps = _eliminate(A, b)
+            assert swaps >= min(n - 1, 3)
+            assert np.array_equal(_lu_solve_ld(factors, b), x)
+
+
+def test_lu_zero_pivot_raises_and_solver_falls_back():
+    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]),
+              np.array([[1.0, 0.0, 3.0], [2.0, 0.0, 1.0], [4.0, 0.0, 5.0]])):
+        rhs = np.arange(1.0, A.shape[0] + 1).astype(LD)
+        with pytest.raises(np.linalg.LinAlgError):
+            _eliminate(A, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            _lu_ld(A)
+        # Every solve against a matrix that fails to factor is float64
+        # least squares.
+        assert np.array_equal(_ld_solver(A)(rhs),
+                              np.linalg.lstsq(A, rhs.astype(float), rcond=None)[0])
+    A = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=LD)
+    rhs = np.array([1.0, 1.0], dtype=LD)
+    assert np.array_equal(_ld_solver(A)(rhs), _lu_solve_ld(_lu_ld(A), rhs))
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 17])
+def test_cholesky_and_inverse_match_entry_loops(n):
+    rng = np.random.default_rng(100 + n)
+    B = rng.standard_normal((n, n)).astype(LD)
+    M = B @ B.T + LD(0.1) * np.eye(n, dtype=LD)
+    L = _cholesky_ld(M)
+    assert np.array_equal(L, _cholesky_by_entries(M))
+    assert np.array_equal(_inv_from_cholesky(L), _inv_by_entries(L))
+    if n > 1:
+        M[n - 1, n - 1] = -M[n - 1, n - 1]  # no longer positive definite
+    else:
+        M = -M
+    for cholesky in (_cholesky_ld, _cholesky_by_entries):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(M)
 
 
 def test_problem_degree_bookkeeping():
