@@ -162,9 +162,9 @@ def cmd_certify_sos(args) -> int:
         print(f"status = {sol.status}")
         return EXIT_INFEASIBLE
     # Independent recheck: rebuild q from the returned lambda and compare
-    # against the Gram reconstruction.
+    # against the Gram reconstruction, coefficient by Bernstein coefficient.
     lam_vec = [sol.lambda_coeffs.get(i, 0.0) for i in prob.degrees]
-    residual = check_certificate(Polynomial(prob.slack_coeffs(lam_vec)), cert)
+    residual = check_certificate(prob.slack_coeffs(lam_vec), cert)
     print(f"status = optimal")
     print(f"objective = {sol.objective:.12g}")
     print(f"matching_residual = {residual:.3e}")
@@ -218,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("certify-sos", help="SDP solve plus independent certificate recheck")
+    text = ("SDP solve plus independent certificate recheck; the matching "
+            "residual is the largest deviation in Bernstein coefficients on [0, 1]")
+    p = sub.add_parser("certify-sos", help=text, description=text)
     _add_solve_flags(p)
     p.set_defaults(func=cmd_certify_sos)
 

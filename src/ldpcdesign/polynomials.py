@@ -1,8 +1,9 @@
 """Polynomial arithmetic and degree-distribution types for LDPC ensemble design.
 
-Everything downstream (density evolution, the certifier, both optimizers)
-works with dense monomial-basis polynomials over [0, 1] in 64-bit floats,
-built by repeated multiplication.
+Density evolution, the certifier and the LP path work with dense
+monomial-basis polynomials over [0, 1] in 64-bit floats, built by repeated
+multiplication.  The SDP path works in Bernstein coefficients on [0, 1]
+(``bernstein_quotient_basis``), built from nonnegative sums only.
 
 Known limitation: the monomial expansion of f^(i-1) in ``constraint_basis``
 cancels catastrophically at high degree.  Its coefficients reach about 1e21
@@ -17,6 +18,8 @@ better-conditioned or exact certificate is ROADMAP item 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -281,6 +284,65 @@ def constraint_basis(rho: Polynomial, epsilon: float, d_v: int) -> list[Polynomi
         basis.append(g)
         g = g * f
     return basis
+
+
+@lru_cache(maxsize=None)
+def _bernstein_weights(a: int, b: int) -> np.ndarray:
+    """(a+1, b+1) table C(a,i) C(b,k) / C(a+b,i+k): the weight of p_i q_k in
+    coefficient i+k of the Bernstein product of degrees a and b."""
+    w = np.array([[comb(a, i) * comb(b, k) / comb(a + b, i + k)
+                   for k in range(b + 1)] for i in range(a + 1)])
+    w.setflags(write=False)
+    return w
+
+
+def bernstein_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients on [0, 1] of the product of two polynomials
+    given by their Bernstein coefficients (degrees len(p)-1 and len(q)-1)."""
+    a, b = len(p) - 1, len(q) - 1
+    terms = np.outer(p, q) * _bernstein_weights(a, b)
+    levels = np.add.outer(np.arange(a + 1), np.arange(b + 1))
+    return np.bincount(levels.ravel(), weights=terms.ravel(),
+                       minlength=a + b + 1)
+
+
+def bernstein_elevate(p: np.ndarray, degree: int) -> np.ndarray:
+    """The same polynomial in Bernstein coefficients of a higher degree:
+    the product with 1, whose coefficients are all ones."""
+    return bernstein_product(p, np.ones(degree - len(p) + 2))
+
+
+def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
+                             d_v: int) -> np.ndarray:
+    """Bernstein coefficients on [0, 1] of g_i / x = f^(i-1) / x for
+    i = 2..d_v, f(x) = 1 - rho(1 - epsilon*x), all at the common degree
+    m = (d_v - 1) deg(rho) - 1: column i - 2 of the (m+1, d_v-1) result.
+
+    Built from nonnegative sums only, so no coefficient suffers
+    cancellation at any degree.  As rho(1) = 1,
+    f = sum_j rho_j (1 - (1 - epsilon*x)^j), and term j has the Bernstein
+    coefficients 1 - (1 - epsilon)^l at degree j.  Products and degree
+    elevation add with positive weights, and division by x maps
+    coefficient c_{k+1} of degree n to c_{k+1} n / (k+1).  Nothing is
+    trimmed.
+    """
+    if d_v < 2:
+        raise ValueError(f"d_v must be at least 2, got {d_v}")
+    if abs(rho(1.0) - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"rho(1) = {rho(1.0)} deviates from 1 beyond tolerance")
+    log_keep = np.log1p(-float(epsilon))
+    f = np.zeros(rho.degree + 1)
+    for j, c in enumerate(rho.coeffs[1:], start=1):
+        f += c * bernstein_elevate(-np.expm1(np.arange(j + 1) * log_keep),
+                                   rho.degree)
+    columns = []
+    g = f
+    for _ in range(2, d_v + 1):
+        n = g.size - 1
+        columns.append(g[1:] * n / np.arange(1, n + 1))
+        g = bernstein_product(g, f)
+    m = columns[-1].size - 1
+    return np.column_stack([bernstein_elevate(h, m) for h in columns])
 
 
 def _rate(lambda_coeffs: Mapping[int, float], rho: Polynomial) -> float:

@@ -7,24 +7,30 @@ interval representation
     deg q even:  q = sigma0 + x(1-x) sigma1
     deg q odd:   q = x sigma0 + (1-x) sigma1
 
-with each sigma a sum of squares represented by a symmetric Gram matrix
-whose anti-diagonal sums reproduce its coefficients.  The resulting small
-block-diagonal SDP (the Gram blocks and one diagonal block of the lambda
-scalars; coefficient matching plus sum lambda = 1) is solved by an in-repo
-primal-dual interior-point kernel built on a homogeneous self-dual
-embedding.  Infeasibility is decided before any solve by the same
+with each sigma = b(x)^T G b(x) a sum of squares over the Bernstein basis b
+of its half degree, and every coefficient matched in the Bernstein basis on
+[0, 1].  The small block-diagonal SDP (the Gram blocks and one diagonal
+block of the lambda scalars; coefficient matching plus sum lambda = 1) is
+solved by an in-repo primal-dual interior-point kernel built on a
+homogeneous self-dual embedding, in float64 on numpy/LAPACK.  That suffices
+because the Bernstein form is well conditioned on [0, 1] (Farouki & Rajan
+1987): the columns g_i / x come from nonnegative sums and every Gram-map
+weight lies in (0, 1], where the monomial expansion cancels
+catastrophically.  Infeasibility is decided before any solve by the same
 feasibility floor the LP path uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from . import certify
 from .lp import SolveRequest
-from .polynomials import Polynomial, constraint_basis
+from .polynomials import Polynomial, bernstein_elevate, bernstein_quotient_basis
 
 # A returned certificate is valid when its coefficient-matching residual is
 # at most MATCHING_TOL and its smallest Gram eigenvalue at least -EIG_TOL.
@@ -32,82 +38,19 @@ MATCHING_TOL = 1e-8
 EIG_TOL = 1e-8
 MAX_IPM_ITERS = 500
 
-# The interior-point kernel runs in extended precision.  Near a degenerate
-# optimum the Schur system's condition number exceeds 1/eps for float64 and
-# the search direction degrades into noise before the residuals reach
-# tolerance; the extra mantissa bits of longdouble keep the last few
-# iterations productive.  numpy.linalg does not accept longdouble, so the
-# tiny dense factorizations are written out below with one vector operation
-# per row or column; each matrix of an iteration is factored once.
-_LD = np.longdouble
 
-
-def _cholesky_ld(M):
-    """Lower Cholesky factor in extended precision; raises LinAlgError."""
-    n = M.shape[0]
-    L = np.zeros((n, n), dtype=_LD)
-    for j in range(n):
-        s = M[j, j] - np.dot(L[j, :j], L[j, :j])
-        if s <= 0.0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        L[j, j] = np.sqrt(s)
-        L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _inv_from_cholesky(L):
-    """Inverse of L L^T given the lower factor L."""
-    n = L.shape[0]
-    Li = np.zeros((n, n), dtype=_LD)
-    for i in range(n):
-        Li[i, i] = 1.0 / L[i, i]
-        Li[i, :i] = -(L[i, :i] @ Li[:i, :i]) / L[i, i]
-    return Li.T @ Li
-
-
-def _lu_ld(A):
-    """LU with partial pivoting in extended precision: (LU, perm) with
-    A[perm] = L U, the multipliers of unit L below the diagonal and U on and
-    above it.  Raises LinAlgError on an exactly zero pivot."""
-    LU = np.array(A, dtype=_LD)
-    perm = np.arange(len(LU))
-    for k in range(len(LU)):
-        p = k + int(np.argmax(np.abs(LU[k:, k])))
-        if LU[p, k] == 0.0:
-            raise np.linalg.LinAlgError("singular system")
-        if p != k:
-            LU[[k, p]] = LU[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        LU[k + 1:, k] /= LU[k, k]
-        LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    return LU, perm
-
-
-def _lu_solve_ld(factors, rhs):
-    """x with A x = rhs from _lu_ld(A): all row swaps, then substitutions."""
-    LU, perm = factors
-    x = np.array(rhs, dtype=_LD)[perm]
-    for k in range(x.size - 1):
-        x[k + 1:] -= LU[k + 1:, k] * x[k]
-    for k in range(x.size - 1, -1, -1):
-        x[k] = (x[k] - np.dot(LU[k, k + 1:], x[k + 1:])) / LU[k, k]
-    return x
-
-
-def _ld_solver(A):
-    """rhs -> A^-1 rhs from one LU of A, or float64 lstsq if A is singular."""
+def _solve(A, rhs):
+    """A^-1 rhs by LAPACK, or least squares when A is exactly singular."""
     try:
-        factors = _lu_ld(A)
+        return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        return lambda rhs: np.linalg.lstsq(A.astype(float), rhs.astype(float),
-                                           rcond=None)[0]
-    return lambda rhs: _lu_solve_ld(factors, rhs)
+        return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
 
 @dataclass(frozen=True)
 class SOSProblem:
     degrees: tuple  # variable-node degrees 2..d_v
-    h_matrix: np.ndarray  # (m+1) x (d_v-1); column i holds coeffs of g_i/x
+    h_matrix: np.ndarray  # (m+1) x (d_v-1); column i: Bernstein coeffs of g_i/x
     alpha: float
     q_degree: int  # m
     gram_sizes: tuple  # (s0, s1); s1 may be 0
@@ -116,12 +59,9 @@ class SOSProblem:
     epsilon: float
 
     def slack_coeffs(self, lam) -> np.ndarray:
-        """Coefficients of q = alpha - sum_i lambda_i g_i / x, given the
-        lambda vector ordered as ``degrees``."""
-        q = np.zeros(self.q_degree + 1)
-        q[0] = self.alpha
-        q -= self.h_matrix @ np.asarray(lam, dtype=float)
-        return q
+        """Bernstein coefficients of q = alpha - sum_i lambda_i g_i / x,
+        given the lambda vector ordered as ``degrees``."""
+        return self.alpha - self.h_matrix @ np.asarray(lam, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -137,7 +77,7 @@ class SDPSolution:
     objective: float
     duality_gap: float
     iterations: int
-    status: str  # optimal | infeasible | iteration-limit
+    status: str  # optimal | infeasible | iteration-limit | numerical-failure
 
 
 def _gram_sizes(m: int) -> tuple[int, int]:
@@ -146,37 +86,39 @@ def _gram_sizes(m: int) -> tuple[int, int]:
     return (m + 1) // 2, (m + 1) // 2
 
 
-def _anti_diags(size: int, levels: np.ndarray) -> np.ndarray:
-    """Stacked symmetric 0/1 matrices selecting entries with i + j = level."""
-    r = np.arange(size)
-    return (np.add.outer(r, r) == levels[:, None, None]).astype(float)
-
-
-def _reconstruction_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (m+1, s, s) linear maps from each Gram block to the
-    coefficients of q: map[l] paired with the block gives its share of q_l."""
-    s0, s1 = _gram_sizes(m)
+@lru_cache(maxsize=None)
+def _gram_maps(m: int) -> tuple[np.ndarray, ...]:
+    """Stacked (m+1, s, s) linear maps from each nonempty Gram block to the
+    Bernstein coefficients of q: map[l] paired with the block gives its
+    share of q_l.  A block of half degree t times its multiplier, 1 or
+    (1-x) at offset 0, x or x(1-x) at offset 1, maps entry (j, k) to
+    coefficient l = j + k + offset with weight C(t,j) C(t,k) / C(m,l)."""
     odd = m % 2
-    levels = np.arange(m + 1)
-    maps0 = _anti_diags(s0, levels - odd)
-    maps1 = (_anti_diags(s1, levels - 1 + odd)
-             - _anti_diags(s1, levels - 2 + odd))
-    return maps0, maps1
+    maps = []
+    for size, offset in zip(_gram_sizes(m), (odd, 1 - odd)):
+        if size == 0:
+            continue
+        t = size - 1
+        M = np.zeros((m + 1, size, size))
+        for j in range(size):
+            for k in range(size):
+                l = j + k + offset
+                M[l, j, k] = comb(t, j) * comb(t, k) / comb(m, l)
+        M.setflags(write=False)
+        maps.append(M)
+    return tuple(maps)
 
 
 def _gram_coeffs(m: int, blocks) -> np.ndarray:
-    """Coefficients of the degree-m polynomial that the Gram blocks encode."""
+    """Bernstein coefficients of the degree-m polynomial that the Gram
+    blocks encode."""
     return sum(np.einsum("lij,ij->l", M, G)
-               for M, G in zip(_reconstruction_maps(m), blocks))
+               for M, G in zip(_gram_maps(m), blocks))
 
 
 def build_sos_problem(req: SolveRequest) -> SOSProblem:
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-    hs = [g.quotient_by_x() for g in basis]
-    m = max(h.degree for h in hs)
-    H = np.zeros((m + 1, len(hs)))
-    for col, h in enumerate(hs):
-        H[: h.coeffs.size, col] = h.coeffs
+    H = bernstein_quotient_basis(req.rho, req.epsilon, req.d_v)
+    m = H.shape[0] - 1
     degrees = tuple(range(2, req.d_v + 1))
     objective = np.array([1.0 / i for i in degrees])
     return SOSProblem(
@@ -191,7 +133,18 @@ def build_sos_problem(req: SolveRequest) -> SOSProblem:
 
 def _contract(stacks, Ms) -> np.ndarray:
     """Vector with entries sum_b <stacks_b[k], M_b>, one per stacked k."""
-    return sum(np.einsum("kij,ij->k", P, M) for P, M in zip(stacks, Ms))
+    return sum(P.reshape(len(P), -1) @ M.ravel() for P, M in zip(stacks, Ms))
+
+
+@lru_cache(maxsize=None)
+def _svec_index(n: int):
+    """Upper-triangle indices (i, j) of an n x n symmetric matrix and the
+    weights (1 on the diagonal, sqrt 2 off it) that make svec an isometry."""
+    i, j = np.triu_indices(n)
+    index = (i, j, np.where(i == j, 1.0, np.sqrt(2.0)))
+    for a in index:
+        a.setflags(write=False)
+    return index
 
 
 class _BlockSDP:
@@ -202,9 +155,9 @@ class _BlockSDP:
     """
 
     def __init__(self, C, A, b):
-        self.C = [np.asarray(M, dtype=_LD) for M in C]
-        self.A = [np.asarray(M, dtype=_LD) for M in A]
-        self.b = np.asarray(b, dtype=_LD)
+        self.C = [np.asarray(M, dtype=float) for M in C]
+        self.A = [np.asarray(M, dtype=float) for M in A]
+        self.b = np.asarray(b, dtype=float)
         self.sizes = [M.shape[0] for M in self.C]
 
     @staticmethod
@@ -215,47 +168,64 @@ class _BlockSDP:
         return _contract(self.A, X)
 
     def _adjoint(self, y):
-        return [np.einsum("k,kij->ij", y, A) for A in self.A]
+        return [(y @ A.reshape(y.size, -1)).reshape(A.shape[1:]) for A in self.A]
 
-    def _feasibility_correction(self, dX, rp, X, solve_gram):
+    def _correction_factors(self, LX):
+        """B and the R factor of the QR factorization of B^T, where row k
+        of B holds svec(L^T A_k L) over all blocks, X = L L^T blockwise."""
+        rows = []
+        for L, A in zip(LX, self.A):
+            i, j, weight = _svec_index(L.shape[0])
+            rows.append((L.T @ A @ L)[:, i, j] * weight)
+        B = np.hstack(rows)
+        return B, np.linalg.qr(B.T, mode="r")
+
+    def _feasibility_correction(self, dX, rp, LX, factors):
         """Adjust dX so A(dX) = rp holds to roundoff.
 
         The Newton direction satisfies this only up to the (often huge)
         condition number of the Schur system; without restoration the primal
         residual stops contracting.  The adjustment is least-norm in the
-        X-scaled metric (dX += X W X), which keeps it compatible with the
-        cone: directions where X is nearly singular are barely perturbed.
-        ``solve_gram`` solves with that metric's Gram matrix tr(A_k X A_h X),
-        which is factored once per iteration.
+        X-scaled metric, L V L^T with V of least Frobenius norm, which keeps
+        it compatible with the cone: directions where X is nearly singular
+        are barely perturbed.  With (B, R) from ``_correction_factors``,
+        svec(V) = B^T w where R^T R w = r: two triangular solves and, with
+        the refinement rounds below, the corrected seminormal equations,
+        accurate to the conditioning of B.  Forming the normal equations
+        B B^T w = r instead squares that condition number, which near a
+        degenerate optimum ends the solve short of its tolerances in float64.
         """
+        B, R = factors
         for _ in range(3):
-            w = solve_gram(rp - self._apply(dX))
-            if not np.all(np.isfinite(w.astype(float))):
+            v = _solve(R, _solve(R.T, rp - self._apply(dX))) @ B
+            if not np.all(np.isfinite(v)):
                 break
-            dX = [D + Xb @ W @ Xb for D, Xb, W in zip(dX, X, self._adjoint(w))]
+            out = []
+            for D, L in zip(dX, LX):
+                i, j, weight = _svec_index(L.shape[0])
+                V = np.zeros_like(D)
+                V[i, j] = V[j, i] = v[:i.size] / weight
+                out.append(D + L @ V @ L.T)
+                v = v[i.size:]
+            dX = out
         return dX
 
     @staticmethod
     def _is_pd(Ms) -> bool:
-        for M in Ms:
-            try:
-                _cholesky_ld(M)
-            except np.linalg.LinAlgError:
-                return False
+        try:
+            for M in Ms:
+                np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return False
         return True
 
     @classmethod
-    def _max_step(cls, X, dX) -> float:
-        """Step a <= 1 keeping X + a*dX strictly positive definite."""
+    def _max_step(cls, X, Li, dX) -> float:
+        """Step a <= 1 keeping X + a*dX strictly positive definite, given
+        the inverse Cholesky factors Li of X's blocks."""
         step = np.inf
-        for M, dM in zip(X, dX):
-            # float64 is plenty for a step bound; backtracking below
-            # verifies in extended precision.
-            try:
-                L = np.linalg.cholesky(M.astype(float))
-            except np.linalg.LinAlgError:
-                continue
-            W = np.linalg.solve(L, np.linalg.solve(L, dM.astype(float).T).T)
+        for L, dM in zip(Li, dX):
+            W = L @ dM @ L.T
             lam_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
             if lam_min < 0.0:
                 step = min(step, -1.0 / lam_min)
@@ -266,15 +236,111 @@ class _BlockSDP:
             a *= 0.8
         return a if a > 1e-13 else 0.0
 
+    def _newton_step(self, X, y, Z, tau, kappa, rp, Rd, rg, cx, gap, mu):
+        """One predictor-corrector step from (X, y, Z, tau, kappa), or None
+        when even a pure centering step is blocked at the cone boundary.
+        Raises LinAlgError when an iterate fails to factor."""
+        K = self.b.size
+        LX = [np.linalg.cholesky(M) for M in X]
+        LiX = [np.linalg.solve(L, np.eye(len(L))) for L in LX]
+        LiZ = [np.linalg.solve(np.linalg.cholesky(M), np.eye(len(M)))
+               for M in Z]
+        Zi = [L.T @ L for L in LiZ]
+
+        # Schur system in (dy, dtau); entries are trace products with
+        # A_k, C symmetric so tr(P Zi Q X) = sum((Zi P) * (Q X)).
+        ZiA = [Zib @ A for Zib, A in zip(Zi, self.A)]
+        AX = [A @ Xb for A, Xb in zip(self.A, X)]
+        CX = [C @ Xb for C, Xb in zip(self.C, X)]
+        ZiC = [Zib @ C for Zib, C in zip(Zi, self.C)]
+        RdX = [R @ Xb for R, Xb in zip(Rd, X)]
+        S = np.zeros((K + 1, K + 1))
+        S[:K, :K] = sum(P.reshape(K, -1) @ Q.reshape(K, -1).T
+                        for P, Q in zip(ZiA, AX))
+        factors = self._correction_factors(LX)
+        u = _contract(ZiA, CX)
+        w = self._inner(ZiC, CX)
+        a0 = sum(np.einsum("kii->k", P) for P in ZiA)
+        qv = _contract(ZiA, RdX)
+        s_rd = self._inner(ZiC, RdX)
+        ctilde = self._inner(self.C, Zi)
+        S[:K, K] = -(u + self.b)
+        S[K, :K] = self.b - u
+        S[K, K] = w + kappa / tau
+
+        def directions(sigma, affine=None):
+            om = 1.0 - sigma
+            smu = sigma * mu
+            r1 = om * (rp + qv) + (self.b * tau - rp) - smu * a0
+            r2 = (om * (rg - s_rd) + smu * ctilde - cx
+                  + (smu - tau * kappa) / tau)
+            # Mehrotra's second-order term: the products dZ dX and
+            # dtau dkappa of the affine (predictor) direction, which the
+            # linearized complementarity conditions drop.
+            M, tk = [0.0] * len(X), 0.0
+            if affine is not None:
+                dXa, dZa, dta, dka = affine
+                M = [Zib @ dZb @ dXb for Zib, dZb, dXb in zip(Zi, dZa, dXa)]
+                tk = dta * dka
+                r1 = r1 + _contract(self.A, M)
+                r2 = r2 - self._inner(self.C, M) - tk / tau
+            sol = _solve(S, np.append(r1, r2))
+            dy, dtau = sol[:K], sol[K]
+            AtdY = self._adjoint(dy)
+            dZ = [dtau * C - Ab + om * R
+                  for C, Ab, R in zip(self.C, AtdY, Rd)]
+            dX = []
+            for Zib, Xb, dZb, Mb in zip(Zi, X, dZ, M):
+                D = smu * Zib - Xb - Zib @ dZb @ Xb - Mb
+                dX.append(0.5 * (D + D.T))
+            dX = self._feasibility_correction(
+                dX, om * rp + self.b * dtau, LX, factors)
+            dkappa = (smu - tau * kappa - tk - kappa * dtau) / tau
+            return dX, dy, dZ, dtau, dkappa
+
+        def joint_step(dX, dZ, dtau, dkappa):
+            a = min(self._max_step(X, LiX, dX), self._max_step(Z, LiZ, dZ))
+            if dtau < 0.0:
+                a = min(a, -0.98 * tau / dtau)
+            if dkappa < 0.0:
+                a = min(a, -0.98 * kappa / dkappa)
+            return a
+
+        # Predictor (affine) step fixes the centering weight.
+        dXa, _, dZa, dta, dka = directions(0.0)
+        aff = joint_step(dXa, dZa, dta, dka)
+        gap_aff = (self._inner(
+            [Xb + aff * db for Xb, db in zip(X, dXa)],
+            [Zb + aff * db for Zb, db in zip(Z, dZa)])
+            + (tau + aff * dta) * (kappa + aff * dka))
+        sigma = min(0.9, max(1e-4,
+                             (max(gap_aff, 0.0) / (gap + tau * kappa)) ** 3))
+
+        dX, dy, dZ, dtau, dkappa = directions(sigma, (dXa, dZa, dta, dka))
+        a = joint_step(dX, dZ, dtau, dkappa)
+        if a <= 1e-8:
+            # Combined step blocked at the cone boundary; a pure
+            # centering step re-opens the interior.
+            dX, dy, dZ, dtau, dkappa = directions(1.0)
+            a = joint_step(dX, dZ, dtau, dkappa)
+            if a <= 1e-8:
+                return None
+        return ([Xb + a * db for Xb, db in zip(X, dX)], y + a * dy,
+                [Zb + a * db for Zb, db in zip(Z, dZ)],
+                tau + a * dtau, kappa + a * dkappa)
+
     def solve(self, gap_tol: float = 1e-8, feas_tol: float = 1e-9,
               dual_tol: float = 1e-8, max_iters: int = MAX_IPM_ITERS):
-        """Homogeneous self-dual path following (HKM direction).
+        """Homogeneous self-dual path following (HKM direction, Mehrotra
+        predictor-corrector).
 
         The embedding carries homogenizing scalars (tau, kappa) alongside
         (X, y, Z), so X = Z = I, tau = kappa = 1 is always a strictly
         interior start and infeasibility shows up as tau -> 0 rather than
-        as a divergent iterate.  Returns the de-homogenized (X, y, Z).
-        Each iteration factors its Schur and correction Gram matrices once.
+        as a divergent iterate.  Returns the de-homogenized (X, y, Z) of
+        the best iterate seen, the iteration count and the status.  A
+        factorization that fails on an iterate ends the loop; it never
+        raises.
 
         The dual residual gets a looser tolerance than the primal one: it
         only backs the duality-gap bound on the reported objective, while
@@ -282,19 +348,19 @@ class _BlockSDP:
         """
         K = self.b.size
         n_total = sum(self.sizes) + 1
-        X = [np.eye(s, dtype=_LD) for s in self.sizes]
-        Z = [np.eye(s, dtype=_LD) for s in self.sizes]
-        y = np.zeros(K, dtype=_LD)
-        tau = _LD(1.0)
-        kappa = _LD(1.0)
+        X = [np.eye(s) for s in self.sizes]
+        Z = [np.eye(s) for s in self.sizes]
+        y = np.zeros(K)
+        tau = 1.0
+        kappa = 1.0
 
-        b_norm = 1.0 + float(np.linalg.norm(self.b.astype(float)))
+        b_norm = 1.0 + float(np.linalg.norm(self.b))
         c_norm = 1.0 + max(float(np.abs(M).max()) for M in self.C)
-        status = "iteration-limit"
         best = None
         best_rels = (np.inf, np.inf, np.inf)
         best_merit = np.inf
         stall = 0
+        failed = False
         it = 0
         for it in range(1, max_iters + 1):
             cx = self._inner(self.C, X)
@@ -326,114 +392,43 @@ class _BlockSDP:
                 break
             if tau <= 1e-9 * max(1.0, kappa) or stall >= 30:
                 break
-
-            Zi = [_inv_from_cholesky(_cholesky_ld(Zb)) for Zb in Z]
-
-            # Schur system in (dy, dtau); entries are trace products with
-            # A_k, C symmetric so tr(P Zi Q X) = sum((Zi P) * (Q X)).
-            ZiA = [Zib @ A for Zib, A in zip(Zi, self.A)]
-            AX = [A @ Xb for A, Xb in zip(self.A, X)]
-            CX = [C @ Xb for C, Xb in zip(self.C, X)]
-            ZiC = [Zib @ C for Zib, C in zip(Zi, self.C)]
-            RdX = [R @ Xb for R, Xb in zip(Rd, X)]
-            S = np.zeros((K + 1, K + 1), dtype=_LD)
-            S[:K, :K] = sum(np.einsum("kij,hij->kh", P, Q)
-                            for P, Q in zip(ZiA, AX))
-            gram = sum(np.einsum("kij,hji->kh", P, P) for P in AX)
-            u = _contract(ZiA, CX)
-            w = self._inner(ZiC, CX)
-            a0 = sum(np.einsum("kii->k", P) for P in ZiA)
-            qv = _contract(ZiA, RdX)
-            s_rd = self._inner(ZiC, RdX)
-            ctilde = self._inner(self.C, Zi)
-            S[:K, K] = -(u + self.b)
-            S[K, :K] = self.b - u
-            S[K, K] = w + kappa / tau
-            solve_S, solve_gram = _ld_solver(S), _ld_solver(gram)
-
-            def directions(sigma):
-                om = 1.0 - sigma
-                smu = sigma * mu
-                r1 = om * (rp + qv) + (self.b * tau - rp) - smu * a0
-                r2 = (om * (rg - s_rd) + smu * ctilde - cx
-                      + (smu - tau * kappa) / tau)
-                sol = solve_S(np.concatenate([r1, np.array([r2], dtype=_LD)]))
-                dy, dtau = sol[:K], sol[K]
-                AtdY = self._adjoint(dy)
-                dZ = [dtau * C - Ab + om * R
-                      for C, Ab, R in zip(self.C, AtdY, Rd)]
-                dX = []
-                for Zib, Xb, dZb in zip(Zi, X, dZ):
-                    D = smu * Zib - Xb - Zib @ dZb @ Xb
-                    dX.append(0.5 * (D + D.T))
-                dX = self._feasibility_correction(
-                    dX, om * rp + self.b * dtau, X, solve_gram)
-                dkappa = (smu - tau * kappa - kappa * dtau) / tau
-                return dX, dy, dZ, dtau, dkappa
-
-            def joint_step(dX, dZ, dtau, dkappa):
-                a = min(self._max_step(X, dX), self._max_step(Z, dZ))
-                if dtau < 0.0:
-                    a = min(a, -0.98 * tau / dtau)
-                if dkappa < 0.0:
-                    a = min(a, -0.98 * kappa / dkappa)
-                return a
-
-            # Predictor (affine) step fixes the centering weight.
-            dXa, _, dZa, dta, dka = directions(0.0)
-            aff = joint_step(dXa, dZa, dta, dka)
-            gap_aff = (self._inner(
-                [Xb + aff * db for Xb, db in zip(X, dXa)],
-                [Zb + aff * db for Zb, db in zip(Z, dZa)])
-                + (tau + aff * dta) * (kappa + aff * dka))
-            sigma = min(0.9, max(1e-4,
-                                 (max(gap_aff, 0.0) / (gap + tau * kappa)) ** 3))
-
-            dX, dy, dZ, dtau, dkappa = directions(sigma)
-            a = joint_step(dX, dZ, dtau, dkappa)
-            if a <= 1e-8:
-                # Combined step blocked at the cone boundary; a pure
-                # centering step re-opens the interior.
-                dX, dy, dZ, dtau, dkappa = directions(1.0)
-                a = joint_step(dX, dZ, dtau, dkappa)
-                if a <= 1e-8:
-                    break
-            X = [Xb + a * db for Xb, db in zip(X, dX)]
-            Z = [Zb + a * db for Zb, db in zip(Z, dZ)]
-            y = y + a * dy
-            tau += a * dtau
-            kappa += a * dkappa
+            try:
+                step = self._newton_step(X, y, Z, tau, kappa, rp, Rd, rg,
+                                         cx, gap, mu)
+            except np.linalg.LinAlgError:
+                failed = True
+                break
+            if step is None:
+                break
+            X, y, Z, tau, kappa = step
         if (best_rels[0] <= feas_tol and best_rels[1] <= dual_tol
                 and best_rels[2] <= gap_tol):
             status = "optimal"
+        else:
+            status = "numerical-failure" if failed else "iteration-limit"
         if best is None:
             best = ([M / tau for M in X], y / tau, [M / tau for M in Z])
         Xb, yb, Zb = best
-        return ([np.asarray(M, dtype=float) for M in Xb],
-                np.asarray(yb, dtype=float),
-                [np.asarray(M, dtype=float) for M in Zb],
-                it, status)
+        return Xb, yb, Zb, it, status
 
 
 # --- assembling and solving the fast-convergence SDP ----------------------
 
 
 def _assemble(prob: SOSProblem) -> _BlockSDP:
-    """Blocks [G0, (G1), diag(lambda)]; rows: the m+1 coefficient matches
-    R_l(G) + sum_i h_{i,l} lambda_i = alpha [l == 0], then sum lambda = 1.
+    """Blocks [G0, (G1), diag(lambda)]; rows: the m+1 Bernstein coefficient
+    matches R_l(G) + sum_i h_{i,l} lambda_i = alpha, then sum lambda = 1.
 
     Every lambda-block matrix is diagonal, and X = Z = I starts the kernel
     diagonal there, so its iterates stay exactly diagonal: the block acts as
     a nonnegative orthant.
     """
-    K = prob.q_degree + 2
     A = [np.concatenate([M, np.zeros((1,) + M.shape[1:])])
-         for M in _reconstruction_maps(prob.q_degree) if M.shape[1] > 0]
+         for M in _gram_maps(prob.q_degree)]
     lam_rows = np.vstack([prob.h_matrix, np.ones(len(prob.degrees))])
     A.append(lam_rows[:, :, None] * np.eye(len(prob.degrees)))
     C = [np.zeros(M.shape[1:]) for M in A[:-1]] + [np.diag(-prob.objective)]
-    b = np.zeros(K)
-    b[0] = prob.alpha
+    b = np.full(prob.q_degree + 2, prob.alpha)
     b[-1] = 1.0
     return _BlockSDP(C, A, b)
 
@@ -443,7 +438,8 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
 
     An alpha below the feasibility floor (the test the LP path applies) is
     reported infeasible without a solve.  Returns (SDPSolution,
-    SOSCertificate | None).  Deterministic for identical inputs.
+    SOSCertificate | None).  Deterministic for identical inputs; never
+    raises on a valid problem.
     """
     floor = certify.feasibility_floor(prob.rho, prob.epsilon, prob.degrees[-1])
     if prob.alpha < floor - certify.FEASIBILITY_TOL:
@@ -454,10 +450,13 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
 
     sdp = _assemble(prob)
     X, _, Z, iterations, status = sdp.solve(gap_tol=tol)
-    lam = np.clip(np.diag(X[-1]), 0.0, None)
-    lam = lam / lam.sum()
-    lambda_coeffs = {d: float(c) for d, c in zip(prob.degrees, lam)
-                     if c > 1e-12}
+    # Drop the negligible entries first and normalize once, so the
+    # returned lambda sums to 1 to roundoff.
+    lam = np.diag(X[-1]).copy()
+    lam[lam <= 1e-12] = 0.0
+    if lam.sum() > 0.0:
+        lam /= lam.sum()
+    lambda_coeffs = {d: float(c) for d, c in zip(prob.degrees, lam) if c > 0.0}
     blocks = tuple(X[:-1])
     residual = np.abs(_gram_coeffs(prob.q_degree, blocks)
                       - prob.slack_coeffs(lam))
@@ -471,16 +470,17 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
     return sol, cert
 
 
-def check_certificate(q: Polynomial, cert: SOSCertificate) -> float:
+def check_certificate(q, cert: SOSCertificate) -> float:
     """Independent recheck: rebuild the polynomial implied by the Gram
-    blocks and interval multipliers, return the max coefficient deviation
-    from q.  (Eigenvalues are available via ``cert.min_eigenvalue`` or a
-    fresh ``certificate_min_eigenvalue``.)"""
+    blocks and interval multipliers, return the max deviation of its
+    Bernstein coefficients from those of q (a sequence of Bernstein
+    coefficients on [0, 1]).  (Eigenvalues are available via
+    ``cert.min_eigenvalue`` or a fresh ``certificate_min_eigenvalue``.)"""
     G0 = cert.gram_blocks[0]
     s0 = G0.shape[0]
     s1 = cert.gram_blocks[1].shape[0] if len(cert.gram_blocks) > 1 else 0
-    # Infer the certified degree from the block shapes; q may sit below it
-    # when its true leading coefficient underflows the trim tolerance.
+    # Infer the certified degree from the block shapes; q may be given at a
+    # lower degree, and is elevated to it.
     if s1 == s0:
         m = 2 * s0 - 1
     elif s1 == s0 - 1:
@@ -488,14 +488,11 @@ def check_certificate(q: Polynomial, cert: SOSCertificate) -> float:
     else:
         raise ValueError(
             f"Gram block sizes {(s0, s1)} do not form an interval certificate")
-    if _gram_sizes(m) != (s0, s1):
-        raise ValueError(f"inconsistent Gram block sizes {(s0, s1)}")
-    if q.degree > m:
+    q = np.asarray(q, dtype=float)
+    if q.size - 1 > m:
         raise ValueError(
-            f"polynomial degree {q.degree} exceeds certified degree {m}")
-
-    target = np.zeros(m + 1)
-    target[: q.coeffs.size] = q.coeffs
+            f"polynomial degree {q.size - 1} exceeds certified degree {m}")
+    target = bernstein_elevate(q, m)
     return float(np.max(np.abs(_gram_coeffs(m, cert.gram_blocks) - target)))
 
 

@@ -4,7 +4,9 @@ The vertex-enumeration LP oracle and the threshold oracle deliberately
 avoid the library's solver code paths: the first enumerates vertices by
 brute force, the second scans the DE update map for fixed points.  The
 fine-grid objective is a referee for the cutting-plane loop only: it runs
-the library's simplex kernel once, on the dual of a dense-grid LP.
+the library's simplex kernel once, on the dual of a dense-grid LP.  The
+HiGHS grid objective shares no code with the library: its rows are
+evaluated directly, never expanded, and scipy solves the LP.
 """
 
 from itertools import combinations
@@ -95,3 +97,29 @@ def fine_grid_objective(req, num_points=20_000):
     if status != "optimal":
         raise RuntimeError(f"fine-grid oracle LP ended with status {status}")
     return -obj
+
+
+def highs_grid_objective(d_c, d_v, epsilon, alpha, num_points=4000):
+    """max sum_i lambda_i / i subject to sum_i lambda_i f(x)^(i-1) / x <= alpha
+    on a Chebyshev grid of [0, 1] plus the x -> 0 row, by scipy's HiGHS,
+    for rho = x^(d_c - 1) and f(x) = 1 - (1 - epsilon x)^(d_c - 1) evaluated
+    directly.  The grid LP relaxes the continuous one, so this is an upper
+    bound on its optimum.  Needs scipy."""
+    from scipy.optimize import linprog
+
+    x = (1.0 - np.cos(np.arange(1, num_points + 1) * np.pi / num_points)) / 2.0
+    f = 1.0 - (1.0 - epsilon * x) ** (d_c - 1)
+    degrees = np.arange(2, d_v + 1)
+    A = f[:, None] ** (degrees - 1)[None, :] / x[:, None]
+    endpoint = np.zeros(d_v - 1)
+    endpoint[0] = epsilon * (d_c - 1)
+    A = np.vstack([endpoint, A])
+    res = linprog(-1.0 / degrees, A_ub=A, b_ub=np.full(A.shape[0], alpha),
+                  A_eq=np.ones((1, d_v - 1)), b_eq=[1.0], bounds=(0, None),
+                  method="highs",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS grid LP ended with: {res.message}")
+    return float(-res.fun)

@@ -1,11 +1,14 @@
 """Polynomial arithmetic, degree distributions, and rate computations."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from ldpcdesign.polynomials import (
-    ChannelSpec, DegreeDistribution, Polynomial, compose_inner,
-    constraint_basis, design_rate, poly_from_edge_coeffs, rate_report)
+    ChannelSpec, DegreeDistribution, Polynomial, bernstein_quotient_basis,
+    compose_inner, constraint_basis, design_rate, poly_from_edge_coeffs,
+    rate_report)
 
 X = Polynomial([0.0, 1.0])
 X3 = Polynomial([0.0, 0.0, 0.0, 1.0])
@@ -198,3 +201,26 @@ def test_poly_from_edge_coeffs():
     p = poly_from_edge_coeffs({2: 0.4, 4: 0.6})
     # lambda(x) = 0.4 x + 0.6 x^3
     assert np.allclose(p.coeffs, [0.0, 0.4, 0.0, 0.6])
+
+
+@pytest.mark.parametrize("rho_coeffs, epsilon, d_v", [
+    ({4: 1.0}, 0.3, 6),
+    ({3: 0.4, 11: 0.6}, 0.347, 15),  # degree 139: the monomial form cancels
+    ({2: 1.0}, 0.5, 2),
+])
+def test_bernstein_quotient_basis_matches_direct_evaluation(rho_coeffs, epsilon, d_v):
+    rho = poly_from_edge_coeffs(rho_coeffs)
+    H = bernstein_quotient_basis(rho, epsilon, d_v)
+    m = (d_v - 1) * rho.degree - 1
+    assert H.shape == (m + 1, d_v - 1)
+    assert np.all(H >= 0.0)
+    # At x = 0 only g_2 / x survives, with the value f'(0) = epsilon rho'(1).
+    assert H[0, 0] == pytest.approx(epsilon * rho.derivative()(1.0), rel=1e-14)
+    assert np.all(H[0, 1:] == 0.0)
+    x = np.linspace(0.0, 1.0, 41)[1:]
+    l = np.arange(m + 1)
+    binom = np.array([comb(m, k) for k in l], dtype=float)
+    B = binom * x[:, None] ** l * (1.0 - x[:, None]) ** (m - l)
+    f = 1.0 - rho(1.0 - epsilon * x)
+    direct = f[:, None] ** np.arange(1, d_v) / x[:, None]
+    assert np.allclose(B @ H, direct, rtol=1e-12, atol=1e-15)

@@ -1,149 +1,83 @@
 """SOS path: problem assembly, the SDP kernel, and certificate checking."""
 
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 import pytest
 
 from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
-from ldpcdesign.polynomials import Polynomial, poly_from_edge_coeffs, rate_and_gap
+from ldpcdesign.polynomials import (
+    DegreeDistribution, poly_from_edge_coeffs, rate_and_gap)
 from ldpcdesign.sos import (
-    SOSCertificate, _cholesky_ld, _inv_from_cholesky, _ld_solver, _lu_ld,
-    _lu_solve_ld, build_sos_problem, certificate_min_eigenvalue,
+    SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
     check_certificate, solve_sdp)
+
+from oracles import highs_grid_objective
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
 RHO_X4 = poly_from_edge_coeffs({5: 1.0})
+REFERENCE_ALPHAS = tuple(round(0.2 + 0.1 * k, 1) for k in range(9))
+
+# Designs (d_c, d_v, epsilon, alpha) with rho = x^(d_c - 1) from the
+# benchmark's lp-stress panel on which the earlier monomial, extended-
+# precision SDP path raised, stopped at its iteration limit or needed 84
+# iterations.
+HARD_DESIGNS = (
+    (7, 13, 0.3583, 0.5869),
+    (6, 14, 0.3309, 0.4451),
+    (7, 15, 0.4797, 0.8741),
+    (6, 14, 0.3708, 0.2892),
+    (6, 8, 0.5956, 0.9967),
+    (8, 13, 0.3717, 0.8028),
+    (5, 14, 0.5022, 0.6583),
+    (7, 12, 0.372, 0.866),
+)
 
 
-def _gram_poly(G):
-    """Coefficients of b(x)^T G b(x) with b the monomial basis."""
-    s = G.shape[0]
-    coeffs = np.zeros(2 * s - 1)
-    for i in range(s):
-        for j in range(s):
-            coeffs[i + j] += G[i, j]
-    return coeffs
+def _bernstein_matrix(n, xs):
+    """B[p, l] = C(n, l) x_p^l (1 - x_p)^(n - l)."""
+    l = np.arange(n + 1)
+    binom = np.array([comb(n, k) for k in l], dtype=float)
+    return binom * xs[:, None] ** l * (1.0 - xs[:, None]) ** (n - l)
+
+
+def _gram_values(G, xs):
+    """b(x)^T G b(x) at each point, b the Bernstein basis of degree s - 1."""
+    b = _bernstein_matrix(G.shape[0] - 1, xs)
+    return np.einsum("pj,jk,pk->p", b, G, b)
 
 
 def _interval_sos_poly(m, G0, G1):
-    """q from the two-block interval representation at degree m."""
-    q = np.zeros(m + 1)
+    """Bernstein coefficients of q from the two-block interval
+    representation at degree m.  The Gram forms are evaluated directly at
+    4(m+1) Chebyshev points and the coefficients fitted by least squares."""
+    n = 4 * (m + 1)
+    xs = (1.0 - np.cos((np.arange(n) + 0.5) * np.pi / n)) / 2.0
     if m % 2 == 0:
-        p0 = _gram_poly(G0)
-        q[: p0.size] += p0
+        vals = _gram_values(G0, xs)
         if G1 is not None and G1.size:
-            p1 = np.convolve([0.0, 1.0, -1.0], _gram_poly(G1))
-            q[: p1.size] += p1
+            vals += xs * (1.0 - xs) * _gram_values(G1, xs)
     else:
-        p0 = np.convolve([0.0, 1.0], _gram_poly(G0))
-        p1 = np.convolve([1.0, -1.0], _gram_poly(G1))
-        q[: p0.size] += p0
-        q[: p1.size] += p1
-    return q
+        vals = xs * _gram_values(G0, xs) + (1.0 - xs) * _gram_values(G1, xs)
+    return np.linalg.lstsq(_bernstein_matrix(m, xs), vals, rcond=None)[0]
 
 
-LD = np.longdouble
+@lru_cache(maxsize=None)
+def _solve_design(d_c, d_v, epsilon, alpha):
+    rho = poly_from_edge_coeffs({d_c: 1.0})
+    return solve_sdp(build_sos_problem(
+        SolveRequest(rho=rho, epsilon=epsilon, alpha=alpha, d_v=d_v)))
 
 
-def _eliminate(A, rhs):
-    """Gaussian elimination with partial pivoting, the row swaps and the
-    right-hand side update interleaved: the referee for the LU pair.
-    Returns the solution and the number of steps that swapped rows."""
-    A = np.array(A, dtype=LD)
-    rhs = np.array(rhs, dtype=LD)
-    n = A.shape[0]
-    swaps = 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            raise np.linalg.LinAlgError("singular system")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-            swaps += 1
-        mult = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k:] -= np.outer(mult, A[k, k:])
-        rhs[k + 1:] -= mult * rhs[k]
-    x = np.zeros(n, dtype=LD)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - np.dot(A[k, k + 1:], x[k + 1:])) / A[k, k]
-    return x, swaps
-
-
-def _cholesky_by_entries(M):
-    """Scalar-loop Cholesky: the referee for the column version."""
-    n = M.shape[0]
-    L = np.zeros((n, n), dtype=LD)
-    for j in range(n):
-        s = M[j, j] - np.dot(L[j, :j], L[j, :j])
-        if s <= 0.0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        L[j, j] = np.sqrt(s)
-        for i in range(j + 1, n):
-            L[i, j] = (M[i, j] - np.dot(L[i, :j], L[j, :j])) / L[j, j]
-    return L
-
-
-def _inv_by_entries(L):
-    """Scalar-loop inverse of L L^T: the referee for the row version."""
-    n = L.shape[0]
-    Li = np.zeros((n, n), dtype=LD)
-    for i in range(n):
-        Li[i, i] = 1.0 / L[i, i]
-        for j in range(i):
-            Li[i, j] = -np.dot(L[i, j:i], Li[j:i, j]) / L[i, i]
-    return Li.T @ Li
-
-
-@pytest.mark.parametrize("n", [1, 5, 17, 40])
-def test_lu_solve_matches_elimination(n):
-    # Non-symmetric random matrices swap rows at most steps; SPD or
-    # diagonally dominant ones would never pivot.  One factorization
-    # serves several right-hand sides.
-    rng = np.random.default_rng(n)
-    for _ in range(3):
-        A = rng.standard_normal((n, n)).astype(LD) / 3
-        factors = _lu_ld(A)
-        for _ in range(4):
-            b = rng.standard_normal(n).astype(LD)
-            x, swaps = _eliminate(A, b)
-            assert swaps >= min(n - 1, 3)
-            assert np.array_equal(_lu_solve_ld(factors, b), x)
-
-
-def test_lu_zero_pivot_raises_and_solver_falls_back():
-    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]),
-              np.array([[1.0, 0.0, 3.0], [2.0, 0.0, 1.0], [4.0, 0.0, 5.0]])):
-        rhs = np.arange(1.0, A.shape[0] + 1).astype(LD)
-        with pytest.raises(np.linalg.LinAlgError):
-            _eliminate(A, rhs)
-        with pytest.raises(np.linalg.LinAlgError):
-            _lu_ld(A)
-        # Every solve against a matrix that fails to factor is float64
-        # least squares.
-        assert np.array_equal(_ld_solver(A)(rhs),
-                              np.linalg.lstsq(A, rhs.astype(float), rcond=None)[0])
-    A = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=LD)
-    rhs = np.array([1.0, 1.0], dtype=LD)
-    assert np.array_equal(_ld_solver(A)(rhs), _lu_solve_ld(_lu_ld(A), rhs))
-
-
-@pytest.mark.parametrize("n", [1, 5, 8, 17])
-def test_cholesky_and_inverse_match_entry_loops(n):
-    rng = np.random.default_rng(100 + n)
-    B = rng.standard_normal((n, n)).astype(LD)
-    M = B @ B.T + LD(0.1) * np.eye(n, dtype=LD)
-    L = _cholesky_ld(M)
-    assert np.array_equal(L, _cholesky_by_entries(M))
-    assert np.array_equal(_inv_from_cholesky(L), _inv_by_entries(L))
-    if n > 1:
-        M[n - 1, n - 1] = -M[n - 1, n - 1]  # no longer positive definite
-    else:
-        M = -M
-    for cholesky in (_cholesky_ld, _cholesky_by_entries):
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky(M)
+def _direct_min_slack(lam, d_c, epsilon, alpha):
+    """min over a 20 000-point grid of alpha - sum_i lam_i f(x)^(i-1) / x,
+    f(x) = 1 - (1 - epsilon x)^(d_c - 1) evaluated directly."""
+    x = np.arange(1, 20_001) / 20_000
+    f = 1.0 - (1.0 - epsilon * x) ** (d_c - 1)
+    return float(np.min(alpha - sum(c * f ** (i - 1) for i, c in lam.items()) / x))
 
 
 def test_problem_degree_bookkeeping():
@@ -155,15 +89,17 @@ def test_problem_degree_bookkeeping():
 
 
 def test_problem_affine_constant_carries_alpha():
-    # q(0) = alpha - sum_i h_{i,0} lambda_i: the alpha term of alpha*x
-    # survives the division by x as the constant coefficient.
+    # q = alpha - sum_i lambda_i g_i / x in Bernstein coefficients: the
+    # constant alpha is alpha in every coefficient, and the end
+    # coefficients are the values at 0 and 1.
     prob = build_sos_problem(
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.7, d_v=6))
     assert prob.alpha == 0.7
-    lam = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    q0 = prob.alpha - float(prob.h_matrix[0] @ lam)
-    # h_{2,0} = (g_2/x)(0) = 0.9 for rho = x^3, eps = 0.3.
-    assert q0 == pytest.approx(0.7 - 0.9, abs=1e-12)
+    assert np.array_equal(prob.slack_coeffs(np.zeros(5)), np.full(15, 0.7))
+    q = prob.slack_coeffs(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    # (g_2/x)(0) = 0.9 and (g_2/x)(1) = 1 - 0.7^3 for rho = x^3, eps = 0.3.
+    assert q[0] == pytest.approx(0.7 - 0.9, abs=1e-12)
+    assert q[-1] == pytest.approx(0.7 - (1.0 - 0.7 ** 3), abs=1e-12)
 
 
 def test_solve_pinned_single_variable():
@@ -243,14 +179,19 @@ def test_check_certificate_perfect_square():
     G1 = np.zeros((1, 1))
     cert = SOSCertificate(gram_blocks=(G0, G1), matching_residual=0.0,
                           min_eigenvalue=0.0)
-    q = Polynomial([0.0, 0.0, 1.0])  # x^2
+    q = [0.0, 0.0, 1.0]  # x^2 in the Bernstein basis of degree 2
     assert check_certificate(q, cert) == pytest.approx(0.0, abs=1e-15)
+    # q given at a lower degree is elevated: x = [0, 1] at degree 1.
+    G0 = np.array([[0.0, 0.5], [0.5, 1.0]])  # (1-x)x + x^2 = x
+    cert = SOSCertificate(gram_blocks=(G0, G1), matching_residual=0.0,
+                          min_eigenvalue=0.0)
+    assert check_certificate([0.0, 1.0], cert) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_check_certificate_constant():
     cert = SOSCertificate(gram_blocks=(np.array([[1.0]]),),
                           matching_residual=0.0, min_eigenvalue=1.0)
-    assert check_certificate(Polynomial([1.0]), cert) == 0.0
+    assert check_certificate([1.0], cert) == 0.0
 
 
 def test_check_certificate_dimension_mismatch():
@@ -258,12 +199,12 @@ def test_check_certificate_dimension_mismatch():
     cert = SOSCertificate(gram_blocks=(np.eye(3), np.eye(1)),
                           matching_residual=0.0, min_eigenvalue=1.0)
     with pytest.raises(ValueError):
-        check_certificate(Polynomial([0.0, 0.0, 1.0]), cert)
+        check_certificate([0.0, 0.0, 1.0], cert)
     # Degree-4 blocks cannot certify a degree-7 polynomial.
     cert = SOSCertificate(gram_blocks=(np.eye(3), np.eye(2)),
                           matching_residual=0.0, min_eigenvalue=1.0)
     with pytest.raises(ValueError):
-        check_certificate(Polynomial([0.0] * 7 + [1.0]), cert)
+        check_certificate([0.0] * 7 + [1.0], cert)
 
 
 def test_check_certificate_detects_perturbation():
@@ -271,10 +212,7 @@ def test_check_certificate_detects_perturbation():
     prob = build_sos_problem(req)
     sol, cert = solve_sdp(prob)
     lam = np.array([sol.lambda_coeffs.get(i, 0.0) for i in prob.degrees])
-    q_coeffs = np.zeros(prob.q_degree + 1)
-    q_coeffs[0] = prob.alpha
-    q_coeffs -= prob.h_matrix @ lam
-    q = Polynomial(q_coeffs)
+    q = prob.slack_coeffs(lam)
     assert check_certificate(q, cert) <= 1e-8
     G0 = cert.gram_blocks[0].copy()
     G0[1, 1] += 1e-3
@@ -298,9 +236,58 @@ def test_round_trip_random_explicit_sos():
             G1 = A1 @ A1.T + 1e-6 * np.eye(s1)
         else:
             G1 = None
-        q = Polynomial(_interval_sos_poly(m, G0, G1))
+        q = _interval_sos_poly(m, G0, G1)
         blocks = (G0,) if G1 is None else (G0, G1)
         cert = SOSCertificate(gram_blocks=blocks, matching_residual=0.0,
                               min_eigenvalue=0.0)
         assert check_certificate(q, cert) <= 1e-10
         assert certificate_min_eigenvalue(cert) >= 0.0
+
+
+def test_lambda_sums_to_one():
+    # The tiny entries are dropped before the single normalization, so the
+    # sum is 1 to roundoff and the result is a valid degree distribution.
+    designs = [(4, 6, 0.3, alpha) for alpha in REFERENCE_ALPHAS]
+    for d_c, d_v, epsilon, alpha in designs + list(HARD_DESIGNS):
+        sol, _ = _solve_design(d_c, d_v, epsilon, alpha)
+        assert abs(sum(sol.lambda_coeffs.values()) - 1.0) <= 1e-12
+        DegreeDistribution(sol.lambda_coeffs, {d_c: 1.0})
+
+
+@pytest.mark.parametrize("design", HARD_DESIGNS)
+def test_hard_design_certified(design):
+    d_c, d_v, epsilon, alpha = design
+    sol, cert = _solve_design(*design)
+    assert sol.status == "optimal"
+    assert cert.matching_residual <= 1e-8
+    assert cert.min_eigenvalue >= -1e-8
+    assert _direct_min_slack(sol.lambda_coeffs, d_c, epsilon, alpha) >= -1e-9
+
+
+@pytest.mark.parametrize("design", HARD_DESIGNS)
+def test_hard_design_matches_highs(design):
+    pytest.importorskip("scipy.optimize")
+    sol, _ = _solve_design(*design)
+    assert sol.objective == pytest.approx(highs_grid_objective(*design),
+                                          abs=1e-6)
+
+
+@pytest.mark.parametrize("fail_after", [1, 10, 45, 120])
+def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
+    # Every Cholesky factorization after the first few raises: the solve
+    # ends on the best iterate with a non-optimal status and never raises.
+    cholesky = np.linalg.cholesky
+    calls = [0]
+
+    def flaky(M):
+        calls[0] += 1
+        if calls[0] > fail_after:
+            raise np.linalg.LinAlgError("injected failure")
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    sol, cert = solve_sdp(build_sos_problem(
+        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)))
+    assert calls[0] > fail_after
+    assert sol.status in ("numerical-failure", "iteration-limit")
+    assert cert is not None
