@@ -109,16 +109,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0 or int(n) != n:
-            raise ValueError("exponent must be a nonnegative integer")
-        # Repeated multiplication: exactness of low-order terms matters more
-        # than speed at these degrees.
-        out = Polynomial([1.0])
-        for _ in range(int(n)):
-            out = out * self
-        return out
-
     def derivative(self) -> "Polynomial":
         if self._coeffs.size == 1:
             return Polynomial([0.0])
@@ -226,14 +216,6 @@ class DegreeDistribution:
     @property
     def rho_coeffs(self) -> dict:
         return dict(self._rho)
-
-    @property
-    def max_variable_degree(self) -> int:
-        return max(self._lambda)
-
-    @property
-    def max_check_degree(self) -> int:
-        return max(self._rho)
 
     def lambda_polynomial(self) -> Polynomial:
         return poly_from_edge_coeffs(self._lambda)

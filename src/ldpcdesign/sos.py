@@ -16,8 +16,9 @@ homogeneous self-dual embedding, in float64 on numpy/LAPACK.  That suffices
 because the Bernstein form is well conditioned on [0, 1] (Farouki & Rajan
 1987): the columns g_i / x come from nonnegative sums and every Gram-map
 weight lies in (0, 1], where the monomial expansion cancels
-catastrophically.  Infeasibility is decided before any solve by the same
-feasibility floor the LP path uses.
+catastrophically.  Infeasibility is decided only by the feasibility floor
+the LP path uses, before any solve; an alpha that slips past the floor ends
+as ``iteration-limit``.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ class SDPSolution:
     objective: float
     duality_gap: float
     iterations: int
-    status: str  # optimal | infeasible | iteration-limit | numerical-failure
+    # optimal | infeasible (below the feasibility floor, no solve) |
+    # iteration-limit (also an infeasible alpha that passed the floor) |
+    # numerical-failure
+    status: str
 
 
 def _gram_sizes(m: int) -> tuple[int, int]:
@@ -337,7 +341,8 @@ class _BlockSDP:
         The embedding carries homogenizing scalars (tau, kappa) alongside
         (X, y, Z), so X = Z = I, tau = kappa = 1 is always a strictly
         interior start and infeasibility shows up as tau -> 0 rather than
-        as a divergent iterate.  Returns the de-homogenized (X, y, Z) of
+        as a divergent iterate; that stop is reported as
+        ``iteration-limit``.  Returns the de-homogenized (X, y, Z) of
         the best iterate seen, the iteration count and the status.  A
         factorization that fails on an iterate ends the loop; it never
         raises.
@@ -462,7 +467,7 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
                       - prob.slack_coeffs(lam))
     cert = SOSCertificate(
         gram_blocks=blocks, matching_residual=float(residual.max()),
-        min_eigenvalue=min(float(np.linalg.eigvalsh(G)[0]) for G in blocks))
+        min_eigenvalue=_min_eigenvalue(blocks))
     sol = SDPSolution(lambda_coeffs=lambda_coeffs,
                       objective=float(prob.objective @ lam),
                       duality_gap=float(sdp._inner(X, Z)),
@@ -496,6 +501,9 @@ def check_certificate(q, cert: SOSCertificate) -> float:
     return float(np.max(np.abs(_gram_coeffs(m, cert.gram_blocks) - target)))
 
 
+def _min_eigenvalue(blocks) -> float:
+    return min(float(np.linalg.eigvalsh(G)[0]) for G in blocks if G.size > 0)
+
+
 def certificate_min_eigenvalue(cert: SOSCertificate) -> float:
-    return min(float(np.linalg.eigvalsh(G)[0]) for G in cert.gram_blocks
-               if G.size > 0)
+    return _min_eigenvalue(cert.gram_blocks)

@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from ldpcdesign import sos
 from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
 from ldpcdesign.polynomials import (
@@ -34,6 +35,19 @@ HARD_DESIGNS = (
     (8, 13, 0.3717, 0.8028),
     (5, 14, 0.5022, 0.6583),
     (7, 12, 0.372, 0.866),
+)
+
+# Designs (rho, epsilon, d_v) from a random near-floor panel.  Just above
+# the floor the feasible set is thin: a plain infeasible-start kernel
+# without the self-dual embedding stalls on each of them at floor + 1e-7
+# with a matching residual near 1e-7.
+NEAR_FLOOR_DESIGNS = (
+    (poly_from_edge_coeffs({6: 0.07759422793351788, 11: 0.9224057720664821}),
+     0.28351909875611425, 5),
+    (poly_from_edge_coeffs({7: 1.0}), 0.40595423136583747, 7),
+    (poly_from_edge_coeffs({5: 0.7358855802517966, 8: 0.2641144197482034}),
+     0.5610073214383534, 7),
+    (poly_from_edge_coeffs({10: 1.0}), 0.35474977619529724, 8),
 )
 
 
@@ -123,7 +137,8 @@ def test_solve_pinned_cubic():
 
 
 def test_solve_matches_lp_path():
-    for d_v, alpha in ((6, 1.0), (10, 0.5), (10, 1.0)):
+    # alpha = 0.9 is a degenerate breakpoint of the optimal lambda.
+    for d_v, alpha in ((6, 1.0), (10, 0.5), (10, 0.9), (10, 1.0), (14, 0.9)):
         req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=alpha, d_v=d_v)
         sol, cert = solve_sdp(build_sos_problem(req))
         lp_res = solve_semi_infinite(req)
@@ -141,19 +156,35 @@ def test_solve_below_floor_infeasible():
     assert cert is None
     assert sol.lambda_coeffs == {}
     # Both paths share one infeasibility rule: the feasibility floor.
-    for rho, epsilon, d_v in ((RHO_X3, 0.3, 10), (RHO_X4, 0.25, 8)):
+    for rho, epsilon, d_v in ((RHO_X3, 0.3, 10), (RHO_X4, 0.25, 8),
+                              *NEAR_FLOOR_DESIGNS):
         floor = feasibility_floor(rho, epsilon, d_v)
         below = SolveRequest(rho=rho, epsilon=epsilon, alpha=floor - 1e-3,
                              d_v=d_v)
         sol, cert = solve_sdp(build_sos_problem(below))
         assert sol.status == "infeasible" and cert is None
         assert solve_semi_infinite(below).status == "infeasible"
-        above = SolveRequest(rho=rho, epsilon=epsilon, alpha=floor + 1e-3,
-                             d_v=d_v)
-        sol, cert = solve_sdp(build_sos_problem(above))
-        assert sol.status == "optimal"
-        assert cert.matching_residual <= 1e-8
-        assert cert.min_eigenvalue >= -1e-8
+        for delta in (1e-7, 1e-5, 1e-3):
+            above = SolveRequest(rho=rho, epsilon=epsilon,
+                                 alpha=floor + delta, d_v=d_v)
+            sol, cert = solve_sdp(build_sos_problem(above))
+            assert sol.status == "optimal"
+            assert cert.matching_residual <= 1e-8
+            assert cert.min_eigenvalue >= -1e-8
+
+
+def test_kernel_below_floor_ends_at_iteration_limit():
+    # Infeasibility is decided only by the floor test.  An alpha that slips
+    # past it drives the embedding's tau to zero; that stop ends the solve
+    # without raising and reports iteration-limit.  The stall rule needs 30
+    # iterations without progress and the iteration cap 500, so a solve
+    # ended within 30 iterations was ended by neither.
+    floor = feasibility_floor(RHO_X3, 0.3, 10)
+    prob = build_sos_problem(
+        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=floor - 1e-4, d_v=10))
+    *_, iterations, status = sos._assemble(prob).solve()
+    assert status == "iteration-limit"
+    assert iterations <= 30
 
 
 def test_solution_soundness_and_duality_gap():
