@@ -1,4 +1,4 @@
-"""Certifier for the fast-convergence density-evolution constraint.
+"""Certifiers for the fast-convergence density-evolution constraint.
 
 The continuous constraint sum_i lambda_i * f(x)^(i-1) <= alpha * x on (0, 1]
 is checked through the normalized slack polynomial
@@ -9,18 +9,31 @@ which is a genuine polynomial because every g_i vanishes at 0.  Its value at
 x = 0 captures the first-order (endpoint) condition alpha >= lambda_2 *
 epsilon * rho'(1), which the raw constraint leaves vacuous.
 
-This module is the single source of truth for feasibility: both solver paths
-and the threshold search certify their answers here.
+Two deciders serve different callers:
+
+- ``proves_positive`` and ``feasibility_floor`` work on Bernstein
+  coefficients on [0, 1] (``polynomials.bernstein_quotient_sum``), built
+  from nonnegative sums, with one de Casteljau subdivision loop.  The
+  threshold search (``desim.threshold``) asks ``proves_positive`` whether
+  the slack at alpha = 1 is positive, and both solver paths
+  (``lp.solve_semi_infinite``, ``sos.solve_sdp``) read their infeasibility
+  test from ``feasibility_floor``.
+- ``min_normalized_slack`` / ``_margin`` scan the monomial expansion of
+  ``polynomials.constraint_basis`` on a grid with derivative refinement.
+  The LP cut loop, ``verify`` and the sweep margins use them; at high
+  degree that expansion cancels (see ``polynomials``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .polynomials import Polynomial, constraint_basis
+from .polynomials import (
+    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split,
+    constraint_basis)
 
 # min_slack >= -FEASIBILITY_TOL counts as feasible; solver outputs carry
 # float rounding and the DE simulator re-checks behaviour independently.
@@ -28,6 +41,13 @@ FEASIBILITY_TOL = 1e-9
 
 GRID_SIZE = 2048
 REFINE_WIDTH = 1e-12
+
+# Caps on de Casteljau subdivision: a piece is halved at most
+# MAX_SPLIT_DEPTH times and at most MAX_PIECES pieces are kept at once.
+MAX_SPLIT_DEPTH = 40
+MAX_PIECES = 1024
+# feasibility_floor stops once no piece can exceed its best value by more.
+FLOOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,9 +85,9 @@ def _slack_poly(dist_lambda: Mapping[int, float], basis: list[Polynomial],
     return s
 
 
-def _extremum_on_unit_interval(p: Polynomial, minimize: bool = True) -> tuple[float, float]:
-    """Global min (or max) of p over [0, 1] by grid scan plus derivative
-    sign-change refinement.  Returns (value, location)."""
+def _minimum_on_unit_interval(p: Polynomial) -> tuple[float, float]:
+    """Global min of p over [0, 1] by grid scan plus derivative sign-change
+    refinement.  Returns (value, location)."""
     xs = np.linspace(0.0, 1.0, GRID_SIZE)
     vals = p(xs)
     dp = p.derivative()
@@ -93,7 +113,7 @@ def _extremum_on_unit_interval(p: Polynomial, minimize: bool = True) -> tuple[fl
     cand = np.asarray(candidates)
     all_vals = np.concatenate([vals, p(cand)])
     all_xs = np.concatenate([xs, cand])
-    k = int(np.argmin(all_vals) if minimize else np.argmax(all_vals))
+    k = int(np.argmin(all_vals))
     return float(all_vals[k]), float(all_xs[k])
 
 
@@ -109,7 +129,7 @@ def min_normalized_slack(
 
 def _margin(s: Polynomial) -> MarginReport:
     """Global minimum of the normalized slack polynomial s over [0, 1]."""
-    min_slack, argmin_x = _extremum_on_unit_interval(s, minimize=True)
+    min_slack, argmin_x = _minimum_on_unit_interval(s)
     return MarginReport(
         min_slack=min_slack,
         argmin_x=argmin_x,
@@ -118,17 +138,69 @@ def _margin(s: Polynomial) -> MarginReport:
     )
 
 
+def _subdivide(coeffs: np.ndarray, halves: np.ndarray,
+               open_pieces: Callable[[np.ndarray], np.ndarray | None]
+               ) -> np.ndarray | None:
+    """Breadth-first de Casteljau subdivision of the Bernstein coefficients
+    ``coeffs`` on [0, 1].  At each level ``open_pieces`` takes the stacked
+    pieces and returns those still to be split, or None to stop the search;
+    the rest are split at their midpoints by ``halves`` (``bernstein_halves``
+    of the same degree).  Returns what ``open_pieces`` returned last: None,
+    an empty stack once every piece is settled, or the open pieces left when
+    a cap ends the loop (MAX_SPLIT_DEPTH splits, or a split that would hold
+    more than MAX_PIECES pieces).
+    """
+    pieces = np.asarray(coeffs, dtype=float)[None, :]
+    depth = 0
+    while True:
+        pieces = open_pieces(pieces)
+        if (pieces is None or not pieces.size or depth == MAX_SPLIT_DEPTH
+                or 2 * len(pieces) > MAX_PIECES):
+            return pieces
+        pieces = bernstein_split(pieces, halves)
+        depth += 1
+
+
+def proves_positive(coeffs: np.ndarray, halves: np.ndarray) -> bool:
+    """True only when the polynomial with Bernstein coefficients ``coeffs``
+    on [0, 1] is proved positive on all of [0, 1].
+
+    All coefficients of a piece > 0 prove it positive there; an end
+    coefficient <= 0 is the value at an end of the piece and refutes.
+    Otherwise every unproved piece is split at its midpoint by ``halves``
+    (``bernstein_halves`` of the same degree), breadth first.  Hitting
+    MAX_SPLIT_DEPTH or MAX_PIECES answers False: not proved.
+    """
+    def unproved(pieces: np.ndarray) -> np.ndarray | None:
+        if not (pieces[:, 0].min() > 0.0 and pieces[:, -1].min() > 0.0):
+            return None
+        return pieces[~(pieces.min(axis=1) > 0.0)]
+
+    left = _subdivide(coeffs, halves, unproved)
+    return left is not None and not left.size
+
+
 def feasibility_floor(rho: Polynomial, epsilon: float, d_v: int) -> float:
     """Smallest alpha admitting any feasible lambda with max degree d_v.
 
-    Equals max over (0, 1] of g_{d_v}(x) / x: since g_{d_v} <= g_i pointwise
-    for every i <= d_v, putting all mass on degree d_v minimizes the
-    constraint left-hand side pointwise.
+    Equals max over [0, 1] of h = g_{d_v}(x) / x: since g_{d_v} <= g_i
+    pointwise for every i <= d_v, putting all mass on degree d_v minimizes
+    the constraint left-hand side pointwise.  Found by branch and bound on
+    the Bernstein coefficients of h: the end coefficients of a piece are
+    values of h, and its largest coefficient bounds h on the piece.  Pieces
+    whose bound lies within FLOOR_TOL of the best value are dropped, the
+    rest are split.  The result is a value h takes, so an alpha below it is
+    infeasible; it is within FLOOR_TOL of the maximum unless a subdivision
+    cap ends the search first.  Both solver paths take their infeasibility
+    test from it.
     """
-    return _floor(constraint_basis(rho, epsilon, d_v))
+    h = bernstein_quotient_sum({d_v: 1.0}, rho, epsilon)
+    best = -np.inf
 
+    def may_exceed(pieces: np.ndarray) -> np.ndarray:
+        nonlocal best
+        best = max(best, pieces[:, [0, -1]].max())
+        return pieces[pieces.max(axis=1) > best + FLOOR_TOL]
 
-def _floor(basis: list[Polynomial]) -> float:
-    """The feasibility floor from the constraint basis of degrees 2..d_v."""
-    value, _ = _extremum_on_unit_interval(basis[-1].quotient_by_x(), minimize=False)
-    return value
+    _subdivide(h, bernstein_halves(h.size - 1), may_exceed)
+    return float(best)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import min_normalized_slack
-from .polynomials import DegreeDistribution
+from .certify import proves_positive
+from .polynomials import (
+    DegreeDistribution, bernstein_halves, bernstein_quotient_sum, bernstein_sum_degree)
 
 DEFAULT_TARGET = 1e-6
 DEFAULT_MAX_ITERS = 10_000
@@ -95,17 +96,24 @@ def empirical_contraction(trace: DETrace) -> float:
 def threshold(dist: DegreeDistribution, tol: float) -> ThresholdResult:
     """Bisection estimate of the largest epsilon for which DE converges.
 
-    Convergence at a candidate epsilon is decided by the analytic slack
-    certificate at alpha = 1, not by trace truncation, which misclassifies
-    near-threshold channels.
+    DE converges at epsilon when the slack s(x) = 1 - sum_i lambda_i
+    f(x)^(i-1) / x, f(x) = 1 - rho(1 - epsilon x), is positive on [0, 1].
+    Each candidate epsilon is decided by a proof on the Bernstein
+    coefficients of s (``certify.proves_positive``), not by trace
+    truncation, which misclassifies near-threshold channels.  An epsilon
+    the subdivision caps leave unsettled counts as not converging, so the
+    estimate errs low.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lam = dist.lambda_coeffs
     rho = dist.rho_polynomial()
+    # The slack's degree does not depend on epsilon; bernstein_sum_degree
+    # rejects a degree too high for float64 before the split maps are built.
+    halves = bernstein_halves(bernstein_sum_degree(max(lam), rho.degree))
 
     def converges(eps: float) -> bool:
-        return min_normalized_slack(lam, rho, eps, alpha=1.0).min_slack > 0.0
+        return proves_positive(1.0 - bernstein_quotient_sum(lam, rho, eps), halves)
 
     lo, hi = 0.0, 1.0
     while hi - lo > tol:

@@ -270,9 +270,11 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     condition, vacuous in the unnormalized form) is added as the normalized
     limit row sum_i lambda_i * (g_i/x)(0) <= alpha.
     """
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-    if req.alpha < certify._floor(basis) - certify.FEASIBILITY_TOL:
+    floor = certify.feasibility_floor(req.rho, req.epsilon, req.d_v)
+    if req.alpha < floor - certify.FEASIBILITY_TOL:
         return _infeasible()
+
+    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
 
     endpoint_row = np.array([g.quotient_by_x()(0.0) for g in basis])
 

@@ -1,25 +1,27 @@
 """Polynomial arithmetic and degree-distribution types for LDPC ensemble design.
 
-Density evolution, the certifier and the LP path work with dense
+Density evolution, the grid certifier and the LP path work with dense
 monomial-basis polynomials over [0, 1] in 64-bit floats, built by repeated
-multiplication.  The SDP path works in Bernstein coefficients on [0, 1]
-(``bernstein_quotient_basis``), built from nonnegative sums only.
+multiplication.  The SDP path, the threshold search and the feasibility
+floor work in Bernstein coefficients on [0, 1] (``bernstein_quotient_basis``,
+``bernstein_quotient_sum``), built from nonnegative sums only, and split
+pieces by de Casteljau's algorithm (``bernstein_halves``).
 
 Known limitation: the monomial expansion of f^(i-1) in ``constraint_basis``
 cancels catastrophically at high degree.  Its coefficients reach about 1e21
 at d_v = 15, so an expanded slack polynomial can differ from direct
 evaluation in every digit (-8.65 against +0.099 at x = 1 for
-lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347), and the
-threshold bisection built on it misses the true threshold by more than 2e-6
-on 37 of the 100 pairs of the benchmark's de-analysis panel.  A
-better-conditioned or exact certificate is ROADMAP item 4.
+lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347).  The
+threshold search and the feasibility floor no longer expand; the LP cut
+loop, which certifies on this basis, still does (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, inf, log1p
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -294,6 +296,23 @@ def bernstein_elevate(p: np.ndarray, degree: int) -> np.ndarray:
     return bernstein_product(p, np.ones(degree - len(p) + 2))
 
 
+def _inner_terms(rho: Polynomial, epsilon: float):
+    """(rho_j, Bernstein coefficients at degree j of 1 - (1 - epsilon*x)^j)
+    for each nonzero rho_j.  The coefficients are 1 - (1 - epsilon)^l for
+    l = 0..j, all in [0, 1]; as rho(1) = 1, f(x) = 1 - rho(1 - epsilon*x) is
+    the rho-weighted sum of these terms."""
+    if abs(rho(1.0) - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"rho(1) = {rho(1.0)} deviates from 1 beyond tolerance")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    # log(1 - epsilon); at epsilon = 1 every term is 1 from l = 1 on.
+    log_keep = log1p(-epsilon) if epsilon < 1.0 else -inf
+    for j in np.flatnonzero(rho.coeffs[1:]) + 1:
+        term = np.zeros(j + 1)
+        term[1:] = -np.expm1(np.arange(1, j + 1) * log_keep)
+        yield rho.coeffs[j], term
+
+
 def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
                              d_v: int) -> np.ndarray:
     """Bernstein coefficients on [0, 1] of g_i / x = f^(i-1) / x for
@@ -310,13 +329,9 @@ def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
     """
     if d_v < 2:
         raise ValueError(f"d_v must be at least 2, got {d_v}")
-    if abs(rho(1.0) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"rho(1) = {rho(1.0)} deviates from 1 beyond tolerance")
-    log_keep = np.log1p(-float(epsilon))
     f = np.zeros(rho.degree + 1)
-    for j, c in enumerate(rho.coeffs[1:], start=1):
-        f += c * bernstein_elevate(-np.expm1(np.arange(j + 1) * log_keep),
-                                   rho.degree)
+    for c, term in _inner_terms(rho, epsilon):
+        f += c * bernstein_elevate(term, rho.degree)
     columns = []
     g = f
     for _ in range(2, d_v + 1):
@@ -325,6 +340,83 @@ def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
         g = bernstein_product(g, f)
     m = columns[-1].size - 1
     return np.column_stack([bernstein_elevate(h, m) for h in columns])
+
+
+def bernstein_sum_degree(d_v: int, rho_degree: int) -> int:
+    """The degree m = (d_v - 1) deg(rho) - 1 of ``bernstein_quotient_sum``.
+
+    Raises ValueError where its scaled coefficients, which reach C(m, m/2),
+    overflow float64 (m above about 1000), before anything of size m is
+    built."""
+    m = (d_v - 1) * rho_degree - 1
+    if comb(m, m // 2) > sys.float_info.max:
+        raise ValueError(f"degree {m} is too high for float64 Bernstein coefficients")
+    return m
+
+
+def _binomial_row(n: int) -> np.ndarray:
+    """C(n, k) for k = 0..n as floats, by the running product."""
+    row = np.empty(n + 1)
+    row[0] = 1.0
+    np.cumprod(np.arange(n, 0, -1.0) / np.arange(1.0, n + 1), out=row[1:])
+    return row
+
+
+def bernstein_quotient_sum(lambda_coeffs: Mapping[int, float], rho: Polynomial,
+                           epsilon: float) -> np.ndarray:
+    """Bernstein coefficients on [0, 1] of sum_i lambda_i f^(i-1) / x,
+    f(x) = 1 - rho(1 - epsilon*x), at degree m = (d_v - 1) deg(rho) - 1
+    with d_v = max(lambda_coeffs); epsilon lies in [0, 1].
+
+    Works in scaled coefficients p_k C(n, k), the coefficients over
+    x^k (1-x)^(n-k): there a product is a convolution, a constant c adds
+    c C(n, k), and division by x drops coefficient 0, as f(0) = 0.  By
+    Horner in f the sum is f P with P = lambda_2 + f (lambda_3 + ... +
+    f lambda_dv), so the quotient is P (f / x).  Term j of f has the
+    Bernstein coefficients 1 - (1 - epsilon)^l at degree j.  Every step adds
+    nonnegative terms, so each coefficient keeps a small relative error at
+    any degree, and nothing is trimmed.  The scaled coefficients reach
+    C(m, m/2), so m is limited to about 1000 in float64.
+    """
+    if min(lambda_coeffs) < 2:
+        raise ValueError(f"lambda degrees start at 2, got {min(lambda_coeffs)}")
+    r = rho.degree
+    d_v = max(lambda_coeffs)
+    bernstein_sum_degree(d_v, r)
+    f = np.zeros(r + 1)
+    for c, term in _inner_terms(rho, epsilon):
+        f += c * np.convolve(term * _binomial_row(term.size - 1),
+                             _binomial_row(r - term.size + 1))
+    p = np.array([float(lambda_coeffs[d_v])])
+    for i in range(d_v - 1, 1, -1):
+        p = np.convolve(p, f)
+        c = lambda_coeffs.get(i, 0.0)
+        if c:
+            p += c * _binomial_row(p.size - 1)
+    q = np.convolve(p, f[1:])
+    return q / _binomial_row(q.size - 1)
+
+
+def bernstein_halves(m: int) -> np.ndarray:
+    """The de Casteljau maps at t = 1/2 for degree m, stacked: rows 0..m
+    take Bernstein coefficients on [0, 1] to those of the left half
+    [0, 1/2], rows m+1..2m+1 to those of the right half, each re-scaled to
+    [0, 1].  Entry (i, k) of the left map is C(i, k) / 2^i, so both maps are
+    nonnegative with rows summing to 1; the right map is the left one
+    reversed in both axes."""
+    left = np.zeros((m + 1, m + 1))
+    left[0, 0] = 1.0
+    for i in range(1, m + 1):
+        left[i, :i] = 0.5 * left[i - 1, :i]
+        left[i, 1:i + 1] += 0.5 * left[i - 1, :i]
+    return np.vstack([left, left[::-1, ::-1]])
+
+
+def bernstein_split(pieces: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """Split each row of ``pieces`` (Bernstein coefficients of one piece)
+    at its midpoint by ``bernstein_halves``: rows 2k and 2k+1 of the result
+    are the left and right halves of piece k."""
+    return (pieces @ halves.T).reshape(-1, pieces.shape[1])
 
 
 def _rate(lambda_coeffs: Mapping[int, float], rho: Polynomial) -> float:

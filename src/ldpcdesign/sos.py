@@ -17,8 +17,8 @@ because the Bernstein form is well conditioned on [0, 1] (Farouki & Rajan
 1987): the columns g_i / x come from nonnegative sums and every Gram-map
 weight lies in (0, 1], where the monomial expansion cancels
 catastrophically.  Infeasibility is decided only by the feasibility floor
-the LP path uses, before any solve; an alpha that slips past the floor ends
-as ``iteration-limit``.
+(``certify.feasibility_floor``, from Bernstein coefficients as well), before
+any solve; an alpha that slips past the floor ends as ``iteration-limit``.
 """
 
 from __future__ import annotations
@@ -441,7 +441,7 @@ def _assemble(prob: SOSProblem) -> _BlockSDP:
 def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
     """The rate-maximizing SDP, one interior-point solve.
 
-    An alpha below the feasibility floor (the test the LP path applies) is
+    An alpha below the feasibility floor (``certify.feasibility_floor``) is
     reported infeasible without a solve.  Returns (SDPSolution,
     SOSCertificate | None).  Deterministic for identical inputs; never
     raises on a valid problem.

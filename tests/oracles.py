@@ -1,12 +1,13 @@
 """Reference implementations used only by the test suite.
 
-The vertex-enumeration LP oracle and the threshold oracle deliberately
+The vertex-enumeration LP oracle and the threshold oracles deliberately
 avoid the library's solver code paths: the first enumerates vertices by
-brute force, the second scans the DE update map for fixed points.  The
-fine-grid objective is a referee for the cutting-plane loop only: it runs
-the library's simplex kernel once, on the dual of a dense-grid LP.  The
-HiGHS grid objective shares no code with the library: its rows are
-evaluated directly, never expanded, and scipy solves the LP.
+brute force, the threshold oracles scan the DE update map for fixed points
+or take its closed form on a dense grid.  The fine-grid objective is a
+referee for the cutting-plane loop only: it runs the library's simplex
+kernel once, on the dual of a dense-grid LP.  The HiGHS grid objective
+shares no code with the library: its rows are evaluated directly, never
+expanded, and scipy solves the LP.
 """
 
 from itertools import combinations
@@ -99,20 +100,35 @@ def fine_grid_objective(req, num_points=20_000):
     return -obj
 
 
-def highs_grid_objective(d_c, d_v, epsilon, alpha, num_points=4000):
+def threshold_closed_form(lam, rho, num_points=200_000):
+    """BEC density-evolution threshold inf_y y / lambda(1 - rho(1 - y)) for
+    edge-degree maps {degree: fraction}, evaluated directly on a uniform
+    grid of (0, 1] together with its y -> 0 limit 1 / (lambda_2 rho'(1)),
+    never expanded."""
+    y = np.arange(1, num_points + 1) / num_points
+    inner = 1.0 - sum(c * (1.0 - y) ** (d - 1) for d, c in rho.items())
+    best = float(np.min(y / sum(c * inner ** (d - 1) for d, c in lam.items())))
+    if lam.get(2, 0.0) > 0.0:
+        rho_prime = sum(c * (d - 1) for d, c in rho.items())
+        best = min(best, 1.0 / (lam[2] * rho_prime))
+    return best
+
+
+def highs_grid_objective(rho, d_v, epsilon, alpha, num_points=4000):
     """max sum_i lambda_i / i subject to sum_i lambda_i f(x)^(i-1) / x <= alpha
     on a Chebyshev grid of [0, 1] plus the x -> 0 row, by scipy's HiGHS,
-    for rho = x^(d_c - 1) and f(x) = 1 - (1 - epsilon x)^(d_c - 1) evaluated
-    directly.  The grid LP relaxes the continuous one, so this is an upper
-    bound on its optimum.  Needs scipy."""
+    for rho an edge-degree map {degree: fraction} and
+    f(x) = 1 - rho(1 - epsilon x) evaluated directly.  The grid LP relaxes
+    the continuous one, so this is an upper bound on its optimum.  Needs
+    scipy."""
     from scipy.optimize import linprog
 
     x = (1.0 - np.cos(np.arange(1, num_points + 1) * np.pi / num_points)) / 2.0
-    f = 1.0 - (1.0 - epsilon * x) ** (d_c - 1)
+    f = 1.0 - sum(c * (1.0 - epsilon * x) ** (d - 1) for d, c in rho.items())
     degrees = np.arange(2, d_v + 1)
     A = f[:, None] ** (degrees - 1)[None, :] / x[:, None]
     endpoint = np.zeros(d_v - 1)
-    endpoint[0] = epsilon * (d_c - 1)
+    endpoint[0] = epsilon * sum(c * (d - 1) for d, c in rho.items())
     A = np.vstack([endpoint, A])
     res = linprog(-1.0 / degrees, A_ub=A, b_ub=np.full(A.shape[0], alpha),
                   A_eq=np.ones((1, d_v - 1)), b_eq=[1.0], bounds=(0, None),

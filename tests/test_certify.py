@@ -1,12 +1,18 @@
-"""Certifier: normalized slack polynomial, margins, and the feasibility floor."""
+"""Certifiers: normalized slack polynomial, margins, the Bernstein
+positivity proof, and the feasibility floor."""
 
 import numpy as np
 import pytest
 
+from ldpcdesign import certify
 from ldpcdesign.certify import (
-    FEASIBILITY_TOL, feasibility_floor, min_normalized_slack,
-    normalized_slack_poly)
-from ldpcdesign.polynomials import Polynomial, poly_from_edge_coeffs
+    FEASIBILITY_TOL, MAX_SPLIT_DEPTH, feasibility_floor, min_normalized_slack,
+    normalized_slack_poly, proves_positive)
+from ldpcdesign.polynomials import (
+    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split,
+    poly_from_edge_coeffs)
+
+from oracles import threshold_closed_form
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
@@ -115,6 +121,118 @@ def test_floor_boundary_feasibility():
     below = min_normalized_slack({6: 1.0}, RHO_X3, 0.3, floor - 1e-6)
     assert above.feasible
     assert not below.feasible
+
+
+def _random_edge_map(rng, lo, hi, max_terms):
+    k = int(rng.integers(1, max_terms + 1))
+    degrees = rng.choice(np.arange(lo, hi + 1), size=k, replace=False)
+    w = rng.dirichlet(np.ones(k))
+    w[-1] = 1.0 - w[:-1].sum()
+    return {int(d): float(c) for d, c in zip(degrees, w)}
+
+
+def _count_splits(monkeypatch):
+    """Record the number of pieces of every subdivision step."""
+    sizes = []
+
+    def counting(pieces, halves):
+        sizes.append(len(pieces))
+        return bernstein_split(pieces, halves)
+
+    monkeypatch.setattr(certify, "bernstein_split", counting)
+    return sizes
+
+
+def test_proves_positive_agrees_with_direct_evaluation():
+    # Random (lambda, rho) with epsilon within 3 % of the threshold, so the
+    # slack's minimum is near zero.  A proof is never given where the slack,
+    # evaluated directly and never expanded, is <= -1e-12, and is given
+    # wherever it is clearly positive.
+    rng = np.random.default_rng(11)
+    x = np.arange(0, 20_001) / 20_000
+    proved = refuted = 0
+    for _ in range(60):
+        lam = _random_edge_map(rng, 2, 15, 3)
+        rho_map = _random_edge_map(rng, 3, 11, 2)
+        rho = poly_from_edge_coeffs(rho_map)
+        eps = threshold_closed_form(lam, rho_map) * float(rng.uniform(0.97, 1.03))
+        if eps >= 1.0:
+            continue
+        f = 1.0 - rho(1.0 - eps * x[1:])
+        direct = 1.0 - sum(c * f ** (i - 1) for i, c in lam.items()) / x[1:]
+        at_zero = 1.0 - lam.get(2, 0.0) * eps * rho.derivative()(1.0)
+        direct_min = min(float(direct.min()), at_zero)
+        s = 1.0 - bernstein_quotient_sum(lam, rho, eps)
+        if proves_positive(s, bernstein_halves(s.size - 1)):
+            assert direct_min > -1e-12
+            proved += 1
+        else:
+            assert direct_min < 1e-4
+            refuted += 1
+    assert proved >= 10 and refuted >= 10
+
+
+def test_proves_positive_refutes_zero_slack_without_splitting(monkeypatch):
+    # lambda = x, rho = x, epsilon = 1: s = 1 - f / x is identically 0.
+    sizes = _count_splits(monkeypatch)
+    s = 1.0 - bernstein_quotient_sum({2: 1.0}, RHO_X, 1.0)
+    assert np.array_equal(s, [0.0])
+    assert not proves_positive(s, bernstein_halves(0))
+    assert sizes == []
+
+
+def test_proves_positive_caps_end_the_subdivision(monkeypatch):
+    sizes = _count_splits(monkeypatch)
+    # (3x - 1)^2 touches 0 at 1/3, which no split point reaches: neither
+    # rule settles it, so the depth cap ends the loop.
+    touching = np.array([1.0, -2.0, 4.0])
+    halves = bernstein_halves(2)
+    assert not proves_positive(touching, halves)
+    assert len(sizes) == MAX_SPLIT_DEPTH
+    # Lifted by 1e-6 it is proved within the caps ...
+    sizes.clear()
+    assert proves_positive(touching + 1e-6, halves)
+    assert 0 < len(sizes) < MAX_SPLIT_DEPTH
+    # ... and not with fewer levels than that proof needs.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", len(sizes) - 1)
+    assert not proves_positive(touching + 1e-6, halves)
+    # (3x - 1)^2 (3x - 2)^2 + 1e-6 keeps two pieces alive after the first
+    # split; three live pieces at most end the loop there.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", MAX_SPLIT_DEPTH)
+    two_touching = np.array([4.0, -5.0, 5.5, -5.0, 4.0]) + 1e-6
+    assert proves_positive(two_touching, bernstein_halves(4))
+    monkeypatch.setattr(certify, "MAX_PIECES", 3)
+    sizes.clear()
+    assert not proves_positive(two_touching, bernstein_halves(4))
+    assert sizes == [1]
+
+
+@pytest.mark.parametrize("rho_coeffs, epsilon, d_v", [
+    ({5: 0.01834, 10: 0.98166}, 0.36333, 16),
+    ({8: 0.4949, 10: 0.5051}, 0.4335, 13),
+    ({11: 1.0}, 0.28388, 20),
+    ({6: 0.82948, 9: 0.17052}, 0.40775, 20),
+    ({7: 1.0}, 0.29221, 19),
+])
+def test_floor_matches_direct_maximum(rho_coeffs, epsilon, d_v):
+    # High-degree designs on which the monomial expansion misses the floor
+    # by up to 630.
+    rho = poly_from_edge_coeffs(rho_coeffs)
+    x = np.arange(1, 1_000_001) / 1_000_000
+    direct = float(np.max((1.0 - rho(1.0 - epsilon * x)) ** (d_v - 1) / x))
+    assert feasibility_floor(rho, epsilon, d_v) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap, value", [("MAX_SPLIT_DEPTH", 0), ("MAX_PIECES", 1)])
+def test_floor_caps_end_the_search(monkeypatch, cap, value):
+    # h = g_6 / x for rho = x^3, epsilon = 0.9 peaks inside (0, 1), at 1.1214.
+    # With no split allowed the search stops at the larger end value of h,
+    # a value h takes, below that maximum.
+    h = bernstein_quotient_sum({6: 1.0}, RHO_X3, 0.9)
+    full = feasibility_floor(RHO_X3, 0.9, 6)
+    assert full == pytest.approx(1.1213898589569988, abs=1e-12)
+    monkeypatch.setattr(certify, cap, value)
+    assert feasibility_floor(RHO_X3, 0.9, 6) == max(h[0], h[-1]) < full - 0.1
 
 
 def test_certifier_vs_simulator():

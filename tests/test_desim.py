@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ldpcdesign import certify, desim, polynomials
 from ldpcdesign.desim import (
     DETrace, de_step, de_trace, empirical_contraction, threshold)
 from ldpcdesign.polynomials import DegreeDistribution
+
+from oracles import threshold_closed_form
 
 CYCLE = DegreeDistribution({2: 1.0}, {2: 1.0})          # lambda = x, rho = x
 REGULAR_36 = DegreeDistribution({3: 1.0}, {6: 1.0})     # lambda = x^2, rho = x^5
@@ -105,6 +108,42 @@ def test_threshold_lambda_x_rho_x5():
     dist = DegreeDistribution({2: 1.0}, {6: 1.0})
     result = threshold(dist, tol=1e-5)
     assert result.threshold == pytest.approx(0.2, abs=2e-5)
+
+
+@pytest.mark.parametrize("lam, rho", [
+    # Threshold 0.45969, so DE does not converge at 0.5.
+    ({15: 1.0}, {10: 1.0}),
+    # Threshold 0.962, both sides irregular.
+    ({5: 0.223, 8: 0.461, 15: 0.316}, {3: 0.818, 11: 0.182}),
+])
+def test_threshold_matches_closed_form(lam, rho):
+    result = threshold(DegreeDistribution(lam, rho), tol=1e-6)
+    assert result.threshold == pytest.approx(threshold_closed_form(lam, rho),
+                                             abs=2e-6)
+
+
+def test_threshold_never_expands_monomials(monkeypatch):
+    # The search works on Bernstein coefficients only: it reaches neither
+    # the monomial constraint basis nor the grid certifier.
+    def refuse(*args, **kwargs):
+        raise AssertionError("threshold reached the monomial path")
+
+    for module in (certify, polynomials):
+        monkeypatch.setattr(module, "constraint_basis", refuse)
+    monkeypatch.setattr(certify, "min_normalized_slack", refuse)
+    result = threshold(REGULAR_36, tol=1e-4)
+    assert 0.4284 <= result.threshold <= 0.4304
+
+
+def test_threshold_rejects_degree_beyond_float64_before_building(monkeypatch):
+    # The slack of lambda = x^1999, rho = x^9 has degree 17 990: its split
+    # maps alone would take gigabytes, so the degree is refused first.
+    def refuse(m):
+        raise AssertionError(f"built the split maps of degree {m}")
+
+    monkeypatch.setattr(desim, "bernstein_halves", refuse)
+    with pytest.raises(ValueError, match="too high"):
+        threshold(DegreeDistribution({2000: 1.0}, {10: 1.0}), tol=1e-6)
 
 
 def test_threshold_consistency_with_traces():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ldpcdesign.certify import feasibility_floor
 from ldpcdesign.desim import de_trace, empirical_contraction
 from ldpcdesign.lp import (
     LPStandardForm, SolveRequest, _SimplexState, build_discretized_lp,
@@ -183,8 +184,8 @@ def test_semi_infinite_single_variable():
 
 
 def test_semi_infinite_builds_constraint_basis_once(monkeypatch):
-    # One solve runs the floor, every cut's LP and every certification on
-    # one basis, wherever constraint_basis is looked up.
+    # One solve runs every cut's LP and every certification on one basis,
+    # wherever constraint_basis is looked up; the floor needs none.
     calls = []
 
     def counting(*args):
@@ -197,6 +198,29 @@ def test_semi_infinite_builds_constraint_basis_once(monkeypatch):
     res = solve_semi_infinite(req)
     assert res.status == "optimal" and res.solver_iterations == 8
     assert calls == [(RHO_X3, 0.3, 6)]
+
+
+def test_semi_infinite_takes_floor_from_bernstein_coefficients(monkeypatch):
+    # The monomial expansion reads the floor of this design as 3.41, which
+    # would refuse every alpha; the true floor is 0.7399, the one the SDP
+    # path uses.  Getting past the floor is seen as the first build of the
+    # constraint basis.
+    class PastFloor(Exception):
+        pass
+
+    def past(*args):
+        raise PastFloor
+
+    monkeypatch.setattr("ldpcdesign.lp.constraint_basis", past)
+    rho = poly_from_edge_coeffs({5: 0.01834, 10: 0.98166})
+    floor = feasibility_floor(rho, 0.36333, 16)
+    assert floor == pytest.approx(0.739855106897, abs=1e-9)
+    below = solve_semi_infinite(
+        SolveRequest(rho=rho, epsilon=0.36333, alpha=floor - 1e-6, d_v=16))
+    assert below.status == "infeasible" and below.solver_iterations == 0
+    with pytest.raises(PastFloor):
+        solve_semi_infinite(
+            SolveRequest(rho=rho, epsilon=0.36333, alpha=floor + 1e-6, d_v=16))
 
 
 def test_semi_infinite_below_floor_infeasible():

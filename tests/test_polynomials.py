@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ldpcdesign.polynomials import (
-    ChannelSpec, DegreeDistribution, Polynomial, bernstein_quotient_basis,
+    ChannelSpec, DegreeDistribution, Polynomial, bernstein_halves,
+    bernstein_quotient_basis, bernstein_quotient_sum, bernstein_split,
     compose_inner, constraint_basis, design_rate, poly_from_edge_coeffs,
     rate_report)
 
@@ -223,3 +224,46 @@ def test_bernstein_quotient_basis_matches_direct_evaluation(rho_coeffs, epsilon,
     f = 1.0 - rho(1.0 - epsilon * x)
     direct = f[:, None] ** np.arange(1, d_v) / x[:, None]
     assert np.allclose(B @ H, direct, rtol=1e-12, atol=1e-15)
+    # The Horner-built weighted sum, at the same degree.
+    w = np.arange(1.0, d_v) / np.arange(1.0, d_v).sum()
+    q = bernstein_quotient_sum(dict(zip(range(2, d_v + 1), w)), rho, epsilon)
+    assert np.allclose(q, H @ w, rtol=1e-12, atol=1e-15)
+
+
+def test_bernstein_quotient_sum_rejects_degree_beyond_float64():
+    # m = 104 * 10 - 1: C(m, m/2) exceeds the largest float64.
+    with pytest.raises(ValueError):
+        bernstein_quotient_sum({105: 1.0}, poly_from_edge_coeffs({11: 1.0}), 0.5)
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 1.5])
+def test_bernstein_builders_reject_epsilon_outside_unit_interval(epsilon):
+    rho = poly_from_edge_coeffs({4: 1.0})
+    with pytest.raises(ValueError, match="epsilon"):
+        bernstein_quotient_sum({3: 1.0}, rho, epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        bernstein_quotient_basis(rho, epsilon, 3)
+
+
+def _bernstein_values(b, x):
+    m = len(b) - 1
+    l = np.arange(m + 1)
+    binom = np.array([comb(m, k) for k in l], dtype=float)
+    return (binom * x[:, None] ** l * (1.0 - x[:, None]) ** (m - l)) @ b
+
+
+@pytest.mark.parametrize("m", [1, 14, 139])
+def test_bernstein_halves_match_direct_evaluation(m):
+    b = np.random.default_rng(m).uniform(0.5, 2.0, m + 1)
+    halves = bernstein_halves(m)
+    assert np.all(halves >= 0.0)
+    left, right = bernstein_split(b[None, :], halves)
+    t = np.linspace(0.0, 1.0, 33)
+    assert np.allclose(_bernstein_values(left, t), _bernstein_values(b, t / 2),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(_bernstein_values(right, t),
+                       _bernstein_values(b, (1.0 + t) / 2), rtol=1e-12, atol=0.0)
+    # Pieces split row by row: halves of piece k at rows 2k and 2k + 1.
+    both = bernstein_split(np.vstack([b, 2.0 * b]), halves)
+    assert np.allclose(both, [left, right, 2.0 * left, 2.0 * right],
+                       rtol=1e-14, atol=0.0)

@@ -298,9 +298,25 @@ def test_hard_design_certified(design):
 @pytest.mark.parametrize("design", HARD_DESIGNS)
 def test_hard_design_matches_highs(design):
     pytest.importorskip("scipy.optimize")
+    d_c, d_v, epsilon, alpha = design
     sol, _ = _solve_design(*design)
-    assert sol.objective == pytest.approx(highs_grid_objective(*design),
-                                          abs=1e-6)
+    assert sol.objective == pytest.approx(
+        highs_grid_objective({d_c: 1.0}, d_v, epsilon, alpha), abs=1e-6)
+
+
+def test_irregular_design_just_above_floor_is_optimal():
+    # The floor is 0.864403; the monomial expansion reads 0.875 there.
+    rho_map = {8: 0.4949, 10: 0.5051}
+    rho = poly_from_edge_coeffs(rho_map)
+    assert feasibility_floor(rho, 0.4335, 13) < 0.8652
+    sol, cert = solve_sdp(build_sos_problem(
+        SolveRequest(rho=rho, epsilon=0.4335, alpha=0.8652, d_v=13)))
+    assert sol.status == "optimal"
+    assert cert.matching_residual <= 1e-8
+    assert cert.min_eigenvalue >= -1e-8
+    pytest.importorskip("scipy.optimize")
+    assert sol.objective == pytest.approx(
+        highs_grid_objective(rho_map, 13, 0.4335, 0.8652), abs=1e-6)
 
 
 @pytest.mark.parametrize("fail_after", [1, 10, 45, 120])
