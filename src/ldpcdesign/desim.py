@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import proves_positive
-from .polynomials import (
-    DegreeDistribution, bernstein_halves, bernstein_quotient_sum, bernstein_sum_degree)
+from .polynomials import BernsteinQuotientSum, DegreeDistribution, bernstein_halves
 
 DEFAULT_TARGET = 1e-6
 DEFAULT_MAX_ITERS = 10_000
@@ -107,13 +106,14 @@ def threshold(dist: DegreeDistribution, tol: float) -> ThresholdResult:
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lam = dist.lambda_coeffs
-    rho = dist.rho_polynomial()
-    # The slack's degree does not depend on epsilon; bernstein_sum_degree
-    # rejects a degree too high for float64 before the split maps are built.
-    halves = bernstein_halves(bernstein_sum_degree(max(lam), rho.degree))
+    # Only f depends on epsilon, so the binomial rows and the split maps are
+    # built once; ``BernsteinQuotientSum`` rejects a degree too high for
+    # float64 before either is built.
+    quotient = BernsteinQuotientSum(dist.rho_polynomial(), max(lam))
+    halves = bernstein_halves(quotient.degree)
 
     def converges(eps: float) -> bool:
-        return proves_positive(1.0 - bernstein_quotient_sum(lam, rho, eps), halves)
+        return proves_positive(1.0 - quotient(lam, quotient.scaled_inner(eps)), halves)
 
     lo, hi = 0.0, 1.0
     while hi - lo > tol:

@@ -1,10 +1,30 @@
 """LP path for the rate-optimization problem.
 
-The continuous constraint is discretized on a finite grid (one linear
-inequality per sample point), solved with an in-repo dense two-phase
-simplex, and then hardened by an exchange loop: certify the solution on the
-whole interval, add the worst violated point as a cut, re-solve.  The loop
-terminates with a solution certified by the independent slack certifier.
+The paper designs lambda by the LP method of its ref. [16]: maximise
+sum_i lambda_i / i over the simplex subject to the density-evolution
+constraint sum_i lambda_i f(x)^(i-1) <= alpha x on (0, 1], with
+f(x) = 1 - rho(1 - epsilon x).  That is a semi-infinite LP, solved here by
+the exchange method: solve the LP on a grid of x, certify the solution on
+the whole interval, add the point of the worst violation as a cut, solve
+again, until the certifier accepts.
+
+- Rows: one per point, normalised by x and evaluated directly,
+  A[k, i] = f(x_k)^(i-1) / x_k with f by Horner on rho, never expanded.
+  The point x = 0 stands for the limit row lambda_2 epsilon rho'(1) <=
+  alpha, which is always present.  The rhs is alpha backed off by tol / 2,
+  so a returned lambda is feasible, not within tolerance of feasible, but
+  never below the row's value at all mass on d_v, so every alpha past the
+  feasibility floor leaves the grid LP feasible.
+- Kernel: a dense tableau simplex.  The first LP is solved cold in two
+  phases; each cut becomes one new row of the live tableau, written in the
+  current basis, and dual simplex pivots restore feasibility before a
+  primal clean-up.  Pricing is Dantzig's rule, with Bland's rule after a
+  run of degenerate pivots.
+- Certifier: the branch and bound of ``certify.bernstein_margin`` on the
+  Bernstein coefficients of the slack (``BernsteinQuotientSum``), whose
+  parts independent of lambda, and the split maps, are built once per
+  solve.  A cut that repeats a grid point ends the loop as
+  ``iteration-limit``.
 """
 
 from __future__ import annotations
@@ -14,13 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .polynomials import Polynomial, constraint_basis, rate_and_gap
+from .polynomials import BernsteinQuotientSum, Polynomial, bernstein_halves, rate_and_gap
 
 DEFAULT_GRID_SIZE = 64
 MAX_CUTS = 200
 CUT_DEDUP_TOL = 1e-10
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 200_000
+# Degenerate pivots in a row after which Bland's rule replaces Dantzig's
+# until a pivot makes progress; Bland's rule cannot cycle.
+_DEGENERATE_RUN = 50
 _BLOCK_ENTRIES = 32_768  # 256 KB of float64 per pivot-update temporary
 
 
@@ -82,32 +105,48 @@ class OptimizationResult:
     gap: float | None
     margin: certify.MarginReport | None
     status: str  # optimal | infeasible | iteration-limit
-    solver_iterations: int
+    solver_iterations: int  # LP solves: the cold one plus one per cut
     cuts_added: int
 
 
 def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
     """Variables lambda_2..lambda_{d_v}; max sum lambda_i / i; simplex
-    equality; one inequality sum_i lambda_i g_i(x_k) <= alpha x_k per grid
-    point."""
-    return _discretized_lp(constraint_basis(req.rho, req.epsilon, req.d_v),
-                           req.alpha, req.grid)
+    equality; one inequality sum_i lambda_i f(x_k)^(i-1) / x_k <= alpha per
+    grid point."""
+    A = _rows(req.rho, req.epsilon, req.d_v, req.grid)
+    return _lp(A, np.full(len(A), float(req.alpha)))
 
 
-def _discretized_lp(basis: list[Polynomial], alpha: float,
-                    grid: np.ndarray) -> LPStandardForm:
-    """``build_discretized_lp`` over the constraint basis of degrees 2..d_v."""
-    n = len(basis)
-    c = np.array([1.0 / i for i in range(2, n + 2)])
-    A = np.column_stack([g(grid) for g in basis])
-    b = alpha * grid
-    E = np.ones((1, n))
-    d = np.array([1.0])
-    return LPStandardForm(c=c, A=A, b=b, E=E, d=d)
+def _rows(rho: Polynomial, epsilon: float, d_v: int, x) -> np.ndarray:
+    """Constraint rows f(x_k)^(i-1) / x_k, i = 2..d_v, at points x_k in
+    [0, 1], with f(x) = 1 - rho(1 - epsilon x) evaluated by Horner on rho.
+    A point x_k = 0 gives the limit row (epsilon rho'(1), 0, ..., 0)."""
+    x = np.asarray(x, dtype=float)
+    at_zero = x == 0.0
+    x = np.where(at_zero, 1.0, x)
+    f = 1.0 - rho(1.0 - epsilon * x)
+    A = f[:, None] ** np.arange(1, d_v) / x[:, None]
+    A[at_zero] = 0.0
+    A[at_zero, 0] = epsilon * rho.derivative()(1.0)
+    return A
+
+
+def _lp(A: np.ndarray, b: np.ndarray) -> LPStandardForm:
+    n = A.shape[1]
+    return LPStandardForm(c=1.0 / np.arange(2.0, n + 2), A=A, b=b,
+                          E=np.ones((1, n)), d=np.array([1.0]))
 
 
 class _SimplexState:
-    """Dense tableau T = [B^-1 N | B^-1 b] driven with Bland's rule.
+    """Dense tableau T = [B^-1 N | B^-1 b] with its basis.
+
+    ``run`` is the primal simplex and ``add_row`` adds a constraint to an
+    optimal tableau and re-optimises it by the dual simplex.  The entering
+    column is priced by Dantzig's rule (most negative reduced cost, lowest
+    index on ties); after _DEGENERATE_RUN degenerate pivots in a row,
+    Bland's rule (lowest improving index) takes over until a pivot makes
+    progress.  The leaving row is the least ratio, ties broken by the
+    smallest basic-variable index.
 
     A pivot divides the pivot row, then applies a rank-1 update to the row
     slices above and below it, one block of rows at a time.  Every entry
@@ -122,21 +161,26 @@ class _SimplexState:
         self.T = T
         self.basis = basis
         self.pivots = 0
+        # The objective and blocked columns of the last ``run``, which
+        # ``add_row`` re-optimises.
+        self.cost = np.zeros(T.shape[1])
+        self.blocked: set = set()
 
     def run(self, cost: np.ndarray, blocked: set) -> str:
-        """Minimize cost.x from the current basis.  Returns optimal|unbounded."""
-        T, basis = self.T, self.basis
+        """Minimize cost.x from the current feasible basis, never entering a
+        blocked column.  Returns optimal|unbounded."""
+        self.cost, self.blocked = cost, blocked
         skip = np.fromiter(blocked, dtype=int, count=len(blocked))
+        T, basis = self.T, self.basis
+        degenerate = 0
         while True:
-            if self.pivots > _MAX_PIVOTS:
-                raise RuntimeError("simplex pivot limit exceeded")
-            cb = cost[basis]
-            reduced = cost[:-1] - cb @ T[:, :-1]
-            # Bland: the lowest-index improving column that is not blocked.
-            improving = reduced < -_PIVOT_TOL
-            improving[skip] = False
-            enter = int(np.argmax(improving))
-            if not improving[enter]:
+            reduced = self._reduced()
+            reduced[skip] = 0.0
+            if degenerate < _DEGENERATE_RUN:
+                enter = int(np.argmin(reduced))
+            else:
+                enter = int(np.argmax(reduced < -_PIVOT_TOL))
+            if not reduced[enter] < -_PIVOT_TOL:
                 return "optimal"
             col = T[:, enter]
             rows = np.nonzero(col > _PIVOT_TOL)[0]
@@ -144,12 +188,58 @@ class _SimplexState:
                 return "unbounded"
             ratios = T[rows, -1] / col[rows]
             best = ratios.min()
-            # Ties broken by smallest basic-variable index (Bland).
             tied = rows[np.nonzero(ratios <= best + 1e-12)[0]]
             leave = int(tied[np.argmin(basis[tied])])
+            degenerate = degenerate + 1 if best <= 1e-12 else 0
             self._pivot(leave, enter)
 
+    def add_row(self, a: np.ndarray, rhs: float) -> str:
+        """Add the constraint a.x <= rhs over the first len(a) columns, with
+        a new slack column that is basic in the new row, to a tableau that
+        ``run`` left optimal, and re-optimise: dual simplex pivots (the row
+        of the most negative rhs leaves, the column of least reduced cost
+        per unit of its negative entry enters) until the rhs is
+        nonnegative to _PIVOT_TOL, then a primal clean-up.  Returns
+        optimal|infeasible|unbounded."""
+        m, width = self.T.shape
+        T = np.zeros((m + 1, width + 1))
+        T[:m, :width - 1] = self.T[:, :-1]
+        T[:m, -1] = self.T[:, -1]
+        new = T[m]
+        new[:a.size] = a
+        new[width - 1] = 1.0
+        new[-1] = rhs
+        new -= new[self.basis] @ T[:m]  # the new row in the current basis
+        self.T = T
+        self.basis = np.append(self.basis, width - 1)
+        self.cost = np.insert(self.cost, width - 1, 0.0)
+        skip = np.fromiter(self.blocked, dtype=int, count=len(self.blocked))
+        while True:
+            leave = int(np.argmin(T[:, -1]))
+            if T[leave, -1] >= -_PIVOT_TOL:
+                return self.run(self.cost, self.blocked)
+            row = T[leave, :-1]
+            candidates = row < -_PIVOT_TOL
+            candidates[skip] = False
+            cols = np.nonzero(candidates)[0]
+            if cols.size == 0:
+                return "infeasible"
+            ratios = np.maximum(self._reduced()[cols], 0.0) / -row[cols]
+            self._pivot(leave, int(cols[np.argmin(ratios)]))
+
+    def values(self, n: int) -> np.ndarray:
+        """The basic solution's first n variables."""
+        values = np.zeros(n)
+        structural = self.basis < n
+        values[self.basis[structural]] = self.T[structural, -1]
+        return values
+
+    def _reduced(self) -> np.ndarray:
+        return self.cost[:-1] - self.cost[self.basis] @ self.T[:, :-1]
+
     def _pivot(self, row: int, col: int):
+        if self.pivots >= _MAX_PIVOTS:
+            raise RuntimeError("simplex pivot limit exceeded")
         T, basis = self.T, self.basis
         T[row] /= T[row, col]
         r = T[row]
@@ -162,12 +252,9 @@ class _SimplexState:
         self.pivots += 1
 
 
-def simplex_solve(lp: LPStandardForm):
-    """Two-phase primal simplex with Bland's anti-cycling rule.
-
-    Returns (values, objective, status) with status in
-    {optimal, infeasible, unbounded}.
-    """
+def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
+    """Cold two-phase primal simplex on lp, as a minimisation of -c.x.
+    Returns the final tableau and optimal|infeasible|unbounded."""
     n = lp.c.size
     m1, m2 = lp.b.size, lp.d.size
     m = m1 + m2
@@ -211,7 +298,7 @@ def simplex_solve(lp: LPStandardForm):
             phase1[j] = 1.0
         state.run(phase1, blocked=set())
         if float(phase1[basis] @ T[:, -1]) > 1e-8:
-            return np.zeros(n), 0.0, "infeasible"
+            return state, "infeasible"
         # Drive remaining basic artificials out or drop their (redundant) rows.
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -226,101 +313,73 @@ def simplex_solve(lp: LPStandardForm):
                 else:
                     keep[i] = False
         if not np.all(keep):
-            state.T = T = T[keep]
-            state.basis = basis = basis[keep]
+            state.T = T[keep]
+            state.basis = basis[keep]
 
-    phase2 = np.zeros(T.shape[1])
+    phase2 = np.zeros(state.T.shape[1])
     phase2[:n] = -lp.c
-    status = state.run(phase2, blocked=art_set)
-    values = np.zeros(n)
-    for i, j in enumerate(state.basis):
-        if j < n:
-            values[j] = state.T[i, -1]
-    objective = float(lp.c @ values)
-    if status == "unbounded":
-        return values, objective, "unbounded"
-    return values, objective, "optimal"
+    return state, state.run(phase2, blocked=art_set)
 
 
-def _result_from_lambda(req: SolveRequest, basis: list[Polynomial], values: np.ndarray,
-                        status: str, iterations: int, cuts: int) -> OptimizationResult:
-    lam = np.clip(values, 0.0, None)
-    lam = lam / lam.sum()
+def simplex_solve(lp: LPStandardForm):
+    """Two-phase primal simplex, Dantzig pricing with a Bland fallback.
+
+    Returns (values, objective, status) with status in
+    {optimal, infeasible, unbounded}.
+    """
+    state, status = _two_phase(lp)
+    if status == "infeasible":
+        return np.zeros(lp.c.size), 0.0, status
+    values = state.values(lp.c.size)
+    return values, float(lp.c @ values), status
+
+
+def _result(req: SolveRequest, lam: np.ndarray, margin: certify.MarginReport,
+            status: str, lp_solves: int, cuts: int) -> OptimizationResult:
     lambda_coeffs = {i + 2: float(lam[i]) for i in range(lam.size) if lam[i] != 0.0}
-    margin = certify._margin(certify._slack_poly(lambda_coeffs, basis, req.alpha))
     rate, gap = rate_and_gap(lambda_coeffs, req.rho, req.epsilon)
     return OptimizationResult(
         lambda_coeffs=lambda_coeffs, rate=rate, gap=gap, margin=margin,
-        status=status, solver_iterations=iterations, cuts_added=cuts,
+        status=status, solver_iterations=lp_solves, cuts_added=cuts,
     )
 
 
-def _infeasible(iterations: int = 0, cuts: int = 0) -> OptimizationResult:
+def _infeasible(lp_solves: int = 0, cuts: int = 0) -> OptimizationResult:
     return OptimizationResult(
         lambda_coeffs={}, rate=None, gap=None, margin=None,
-        status="infeasible", solver_iterations=iterations, cuts_added=cuts,
+        status="infeasible", solver_iterations=lp_solves, cuts_added=cuts,
     )
 
 
 def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
-    """Exchange loop: discretized LP -> certify -> cut at the violation
-    argmin -> re-solve, until the continuous constraint is certified.
-
-    A violation whose argmin sits at x = 0 (the first-order endpoint
-    condition, vacuous in the unnormalized form) is added as the normalized
-    limit row sum_i lambda_i * (g_i/x)(0) <= alpha.
-    """
-    floor = certify.feasibility_floor(req.rho, req.epsilon, req.d_v)
-    if req.alpha < floor - certify.FEASIBILITY_TOL:
+    """Exchange loop: grid LP -> certify -> cut at the certifier's argmin ->
+    warm re-solve, until the continuous constraint is certified (see the
+    module docstring).  An alpha below ``certify.feasibility_floor`` is
+    infeasible with no LP solve.  Raises ValueError where
+    ``BernsteinQuotientSum`` does."""
+    rho, epsilon, d_v, alpha = req.rho, req.epsilon, req.d_v, req.alpha
+    quotient = BernsteinQuotientSum(rho, d_v)
+    if alpha < certify.feasibility_floor(rho, epsilon, d_v) - certify.FEASIBILITY_TOL:
         return _infeasible()
+    f = quotient.scaled_inner(epsilon)
+    halves = bernstein_halves(quotient.degree)
 
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-
-    endpoint_row = np.array([g.quotient_by_x()(0.0) for g in basis])
-
-    grid = np.sort(np.asarray(req.grid, dtype=float))
-    endpoint_cut = False
-    iterations = 0
-    best = None
+    x = np.concatenate([[0.0], req.grid])
+    A = _rows(rho, epsilon, d_v, x)
+    backed_off = alpha - 0.5 * req.tol
+    state, status = _two_phase(_lp(A, np.maximum(backed_off, A[:, -1])))
+    degrees = range(2, d_v + 1)
     for cuts in range(MAX_CUTS + 1):
-        lp = _discretized_lp(basis, req.alpha, grid)
-        if endpoint_cut:
-            lp = LPStandardForm(
-                c=lp.c,
-                A=np.vstack([endpoint_row[np.newaxis, :], lp.A]),
-                b=np.concatenate([[req.alpha], lp.b]),
-                E=lp.E, d=lp.d)
-        values, _, status = simplex_solve(lp)
-        iterations += 1
         if status != "optimal":
-            return _infeasible(iterations, cuts)
-        result = _result_from_lambda(req, basis, values, "optimal", iterations, cuts)
-        if result.margin.min_slack >= -req.tol:
-            return result
-        if result.margin.feasible and (best is None or result.rate > best.rate):
-            best = result
-        cut = result.margin.argmin_x
-        if cut < CUT_DEDUP_TOL:
-            if endpoint_cut:
-                return _relaxed_report(result, req, basis, values, iterations, cuts)
-            endpoint_cut = True
-            continue
-        if np.min(np.abs(grid - cut)) < CUT_DEDUP_TOL:
-            return _relaxed_report(result, req, basis, values, iterations, cuts)
-        grid = np.sort(np.append(grid, cut))
-    if best is not None:
-        return OptimizationResult(
-            lambda_coeffs=best.lambda_coeffs, rate=best.rate, gap=best.gap,
-            margin=best.margin, status="iteration-limit",
-            solver_iterations=iterations, cuts_added=MAX_CUTS)
-    return _result_from_lambda(req, basis, values, "iteration-limit", iterations, MAX_CUTS)
-
-
-def _relaxed_report(result: OptimizationResult, req: SolveRequest, basis: list[Polynomial],
-                    values: np.ndarray, iterations: int, cuts: int) -> OptimizationResult:
-    # A repeat cut means the certifier minimum sits on an already-active
-    # constraint; further cuts cannot help.  Report at relaxed tolerance
-    # instead of looping.
-    if result.margin.min_slack >= -100.0 * req.tol:
-        return result
-    return _result_from_lambda(req, basis, values, "iteration-limit", iterations, cuts)
+            return _infeasible(cuts + 1, cuts)
+        lam = np.clip(state.values(d_v - 1), 0.0, None)
+        lam /= lam.sum()
+        margin = certify.bernstein_margin(alpha - quotient(dict(zip(degrees, lam)), f), halves)
+        if margin.min_slack >= -req.tol:
+            return _result(req, lam, margin, "optimal", cuts + 1, cuts)
+        cut = margin.argmin_x
+        if cuts == MAX_CUTS or np.min(np.abs(x - cut)) < CUT_DEDUP_TOL:
+            return _result(req, lam, margin, "iteration-limit", cuts + 1, cuts)
+        row = _rows(rho, epsilon, d_v, [cut])[0]
+        status = state.add_row(row, max(backed_off, row[-1]))
+        x = np.append(x, cut)

@@ -1,19 +1,20 @@
 """Polynomial arithmetic and degree-distribution types for LDPC ensemble design.
 
-Density evolution, the grid certifier and the LP path work with dense
-monomial-basis polynomials over [0, 1] in 64-bit floats, built by repeated
-multiplication.  The SDP path, the threshold search and the feasibility
-floor work in Bernstein coefficients on [0, 1] (``bernstein_quotient_basis``,
-``bernstein_quotient_sum``), built from nonnegative sums only, and split
+Density evolution works with dense monomial-basis polynomials over [0, 1]
+in 64-bit floats, built by repeated multiplication.  The SDP path, every
+certifier (the LP cut loop's, the CLI and sweep margins, the threshold
+search and the feasibility floor) work in Bernstein coefficients on [0, 1]
+(``bernstein_quotient_basis``, ``bernstein_quotient_sum``,
+``BernsteinQuotientSum``), built from nonnegative sums only, and split
 pieces by de Casteljau's algorithm (``bernstein_halves``).
 
 Known limitation: the monomial expansion of f^(i-1) in ``constraint_basis``
 cancels catastrophically at high degree.  Its coefficients reach about 1e21
 at d_v = 15, so an expanded slack polynomial can differ from direct
 evaluation in every digit (-8.65 against +0.099 at x = 1 for
-lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347).  The
-threshold search and the feasibility floor no longer expand; the LP cut
-loop, which certifies on this basis, still does (ROADMAP item 1).
+lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347).  No solver
+path or certifier expands any more; only ``certify.normalized_slack_poly``
+still does (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -342,18 +343,6 @@ def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
     return np.column_stack([bernstein_elevate(h, m) for h in columns])
 
 
-def bernstein_sum_degree(d_v: int, rho_degree: int) -> int:
-    """The degree m = (d_v - 1) deg(rho) - 1 of ``bernstein_quotient_sum``.
-
-    Raises ValueError where its scaled coefficients, which reach C(m, m/2),
-    overflow float64 (m above about 1000), before anything of size m is
-    built."""
-    m = (d_v - 1) * rho_degree - 1
-    if comb(m, m // 2) > sys.float_info.max:
-        raise ValueError(f"degree {m} is too high for float64 Bernstein coefficients")
-    return m
-
-
 def _binomial_row(n: int) -> np.ndarray:
     """C(n, k) for k = 0..n as floats, by the running product."""
     row = np.empty(n + 1)
@@ -377,24 +366,66 @@ def bernstein_quotient_sum(lambda_coeffs: Mapping[int, float], rho: Polynomial,
     nonnegative terms, so each coefficient keeps a small relative error at
     any degree, and nothing is trimmed.  The scaled coefficients reach
     C(m, m/2), so m is limited to about 1000 in float64.
+    ``BernsteinQuotientSum`` builds the parts that do not depend on lambda
+    or epsilon once, for callers that vary one of them.
     """
     if min(lambda_coeffs) < 2:
         raise ValueError(f"lambda degrees start at 2, got {min(lambda_coeffs)}")
-    r = rho.degree
-    d_v = max(lambda_coeffs)
-    bernstein_sum_degree(d_v, r)
-    f = np.zeros(r + 1)
-    for c, term in _inner_terms(rho, epsilon):
-        f += c * np.convolve(term * _binomial_row(term.size - 1),
-                             _binomial_row(r - term.size + 1))
-    p = np.array([float(lambda_coeffs[d_v])])
-    for i in range(d_v - 1, 1, -1):
-        p = np.convolve(p, f)
-        c = lambda_coeffs.get(i, 0.0)
-        if c:
-            p += c * _binomial_row(p.size - 1)
-    q = np.convolve(p, f[1:])
-    return q / _binomial_row(q.size - 1)
+    quotient = BernsteinQuotientSum(rho, max(lambda_coeffs))
+    return quotient(lambda_coeffs, quotient.scaled_inner(epsilon))
+
+
+class BernsteinQuotientSum:
+    """``bernstein_quotient_sum`` for one rho and top degree d_v.
+
+    The binomial rows it multiplies by depend only on the degrees, so they
+    are built once here.  ``scaled_inner(epsilon)`` gives the scaled
+    coefficients of f at degree deg(rho), and calling the instance with a
+    lambda over degrees 2..d_v and those coefficients gives the Bernstein
+    coefficients of sum_i lambda_i f^(i-1) / x at degree ``degree`` = m,
+    bit for bit those of ``bernstein_quotient_sum``.  The LP cut loop
+    varies lambda at one epsilon, the threshold search epsilon at one
+    lambda.  Raises ValueError where the scaled coefficients, which reach
+    C(m, m/2), overflow float64 (m above about 1000), before anything of
+    size m is built.
+    """
+
+    def __init__(self, rho: Polynomial, d_v: int):
+        if d_v < 2:
+            raise ValueError(f"d_v must be at least 2, got {d_v}")
+        r = rho.degree
+        m = (d_v - 1) * r - 1
+        if comb(m, m // 2) > sys.float_info.max:
+            raise ValueError(f"degree {m} is too high for float64 Bernstein coefficients")
+        self.rho, self.d_v, self.degree = rho, d_v, m
+        # Term j of f at degree j, scaled, then elevated to degree r by a
+        # convolution with the binomial row of r - j.
+        self._elevate = {int(j): (_binomial_row(j), _binomial_row(r - j))
+                         for j in np.flatnonzero(rho.coeffs[1:]) + 1}
+        # P after k products with f has degree k r.
+        self._horner = [_binomial_row(k * r) for k in range(1, d_v - 1)]
+        self._unscale = _binomial_row(m)
+
+    def scaled_inner(self, epsilon: float) -> np.ndarray:
+        """Scaled Bernstein coefficients of f(x) = 1 - rho(1 - epsilon*x)
+        at degree deg(rho); epsilon lies in [0, 1]."""
+        f = np.zeros(self.rho.degree + 1)
+        for c, term in _inner_terms(self.rho, epsilon):
+            row, elevation = self._elevate[term.size - 1]
+            f += c * np.convolve(term * row, elevation)
+        return f
+
+    def __call__(self, lambda_coeffs: Mapping[int, float],
+                 scaled_inner: np.ndarray) -> np.ndarray:
+        f = scaled_inner
+        p = np.array([float(lambda_coeffs.get(self.d_v, 0.0))])
+        for k, i in enumerate(range(self.d_v - 1, 1, -1)):
+            p = np.convolve(p, f)
+            c = lambda_coeffs.get(i, 0.0)
+            if c:
+                p += c * self._horner[k]
+        q = np.convolve(p, f[1:])
+        return q / self._unscale
 
 
 def bernstein_halves(m: int) -> np.ndarray:

@@ -6,8 +6,8 @@ brute force, the threshold oracles scan the DE update map for fixed points
 or take its closed form on a dense grid.  The fine-grid objective is a
 referee for the cutting-plane loop only: it runs the library's simplex
 kernel once, on the dual of a dense-grid LP.  The HiGHS grid objective
-shares no code with the library: its rows are evaluated directly, never
-expanded, and scipy solves the LP.
+and the direct slack share no code with the library: their rows are
+evaluated directly, never expanded, and scipy solves the LP.
 """
 
 from itertools import combinations
@@ -139,3 +139,15 @@ def highs_grid_objective(rho, d_v, epsilon, alpha, num_points=4000):
     if res.status != 0:
         raise RuntimeError(f"HiGHS grid LP ended with: {res.message}")
     return float(-res.fun)
+
+
+def direct_min_slack(lam, rho, epsilon, alpha, num_points=200_000):
+    """min of alpha - sum_i lambda_i f(x)^(i-1) / x over a uniform grid of
+    (0, 1] and its x -> 0 limit alpha - lambda_2 epsilon rho'(1), for
+    edge-degree maps {degree: fraction} and f(x) = 1 - rho(1 - epsilon x)
+    evaluated directly, never expanded."""
+    x = np.arange(1, num_points + 1) / num_points
+    f = 1.0 - sum(c * (1.0 - epsilon * x) ** (d - 1) for d, c in rho.items())
+    slack = alpha - sum(c * f ** (i - 1) for i, c in lam.items()) / x
+    rho_prime = sum(c * (d - 1) for d, c in rho.items())
+    return min(float(np.min(slack)), alpha - lam.get(2, 0.0) * epsilon * rho_prime)

@@ -6,13 +6,13 @@ import pytest
 
 from ldpcdesign import certify
 from ldpcdesign.certify import (
-    FEASIBILITY_TOL, MAX_SPLIT_DEPTH, feasibility_floor, min_normalized_slack,
-    normalized_slack_poly, proves_positive)
+    FEASIBILITY_TOL, MAX_SPLIT_DEPTH, bernstein_margin, feasibility_floor,
+    min_normalized_slack, normalized_slack_poly, proves_positive)
 from ldpcdesign.polynomials import (
     Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split,
     poly_from_edge_coeffs)
 
-from oracles import threshold_closed_form
+from oracles import direct_min_slack, threshold_closed_form
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
@@ -58,6 +58,17 @@ def test_min_slack_infeasible_all_mass_on_top_degree():
     expected = 0.1 - 0.657 ** 5
     assert margin.min_slack == pytest.approx(expected, abs=1e-12)
     assert not margin.feasible
+
+
+def test_min_slack_at_high_degree_follows_direct_evaluation():
+    # The monomial expansion of this slack cancels: it puts the minimum near
+    # -11.4 at alpha = 1 (see polynomials), where the slack is positive.
+    lam, rho_map, eps = {4: 0.586, 15: 0.414}, {11: 1.0}, 0.347
+    for alpha in (0.3, 1.0):
+        margin = min_normalized_slack(lam, poly_from_edge_coeffs(rho_map), eps, alpha)
+        direct = direct_min_slack(lam, rho_map, eps, alpha)
+        assert direct - 1e-9 <= margin.min_slack <= direct + 1e-12
+        assert margin.feasible == (alpha == 1.0)
 
 
 def test_endpoint_slack_formula():
@@ -170,6 +181,33 @@ def test_proves_positive_agrees_with_direct_evaluation():
             assert direct_min < 1e-4
             refuted += 1
     assert proved >= 10 and refuted >= 10
+
+
+def test_bernstein_margin_matches_direct_evaluation():
+    # Random designs at random alpha: the branch-and-bound minimum lies
+    # below a 200 000-point direct minimum, by no more than that grid can
+    # miss, and the slack evaluated directly at argmin_x takes it.
+    rng = np.random.default_rng(12)
+    x = np.arange(0, 200_001) / 200_000
+
+    def direct(lam, rho, eps, alpha, pts):
+        f = 1.0 - rho(1.0 - eps * pts)
+        return alpha - sum(c * f ** (i - 1) for i, c in lam.items()) / pts
+
+    for _ in range(30):
+        lam = _random_edge_map(rng, 2, 15, 3)
+        rho = poly_from_edge_coeffs(_random_edge_map(rng, 3, 11, 2))
+        eps, alpha = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.2, 1.0))
+        s = alpha - bernstein_quotient_sum(lam, rho, eps)
+        margin = bernstein_margin(s, bernstein_halves(s.size - 1))
+        at_zero = alpha - lam.get(2, 0.0) * eps * rho.derivative()(1.0)
+        assert margin.endpoint_slack == pytest.approx(at_zero, abs=1e-12)
+        direct_min = min(float(direct(lam, rho, eps, alpha, x[1:]).min()), at_zero)
+        assert direct_min - 1e-9 <= margin.min_slack <= direct_min + 1e-12
+        where = margin.argmin_x
+        value = at_zero if where == 0.0 else float(direct(lam, rho, eps, alpha, np.array([where]))[0])
+        assert value == pytest.approx(margin.min_slack, abs=1e-11)
+        assert margin.feasible == (margin.min_slack >= -FEASIBILITY_TOL)
 
 
 def test_proves_positive_refutes_zero_slack_without_splitting(monkeypatch):

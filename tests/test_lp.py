@@ -5,15 +5,41 @@ import pytest
 
 from ldpcdesign.certify import feasibility_floor
 from ldpcdesign.desim import de_trace, empirical_contraction
+from ldpcdesign import lp
 from ldpcdesign.lp import (
     LPStandardForm, SolveRequest, _SimplexState, build_discretized_lp,
     chebyshev_grid, simplex_solve, solve_semi_infinite)
-from ldpcdesign.polynomials import (
-    DegreeDistribution, constraint_basis, poly_from_edge_coeffs)
+from ldpcdesign.polynomials import DegreeDistribution, poly_from_edge_coeffs
 
-from oracles import brute_force_lp, fine_grid_objective
+from oracles import (
+    brute_force_lp, direct_min_slack, fine_grid_objective, highs_grid_objective)
 
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
+
+# Designs (rho, epsilon, d_v, alpha), rho an edge-degree map, on which the
+# cut loop on the monomial expansion with a cold Bland-rule kernel fell
+# below the HiGHS optimum by 2.4e-3, answered "infeasible", stopped at its
+# iteration limit, violated the constraint by 1.4e-8, answered "optimal"
+# with a slack of -0.0024, and answered "infeasible".
+FOUND_DESIGNS = (
+    ({4: 1.0}, 0.4968, 14, 0.7243),
+    ({6: 1.0}, 0.4987, 15, 0.6384),
+    ({6: 1.0}, 0.4667, 13, 0.8731),
+    ({5: 1.0}, 0.5392, 9, 0.9796),
+    ({5: 0.01834, 10: 0.98166}, 0.36333, 16, 0.8377),
+    ({8: 0.4949, 10: 0.5051}, 0.4335, 13, 0.8652),
+)
+
+# Designs (rho, epsilon, d_v) from the benchmark's lp-stress panel on which
+# that loop answered "infeasible" or stopped at its iteration limit at
+# alpha = floor or floor + 1e-10.
+AT_FLOOR_DESIGNS = (
+    ({8: 1.0}, 0.1984, 11),
+    ({6: 1.0}, 0.4512, 10),
+    ({6: 1.0}, 0.4987, 15),
+    ({6: 1.0}, 0.3389, 12),
+    ({4: 1.0}, 0.261, 11),
+)
 
 
 def test_chebyshev_grid_shape():
@@ -96,8 +122,8 @@ def test_pivot_matches_row_elimination(shape):
 
 
 def test_bland_entering_column_skips_blocked():
-    # Columns 0 and 1 both improve; Bland enters the lower index unless it
-    # is blocked (as the artificial columns are in phase 2).
+    # Columns 0 and 1 improve equally; the tie goes to the lower index
+    # unless it is blocked (as the artificial columns are in phase 2).
     for blocked, entered in ((set(), 0), ({0}, 1)):
         T = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
         state = _SimplexState(T, np.array([3]))
@@ -183,44 +209,111 @@ def test_semi_infinite_single_variable():
     assert res.margin.min_slack == pytest.approx(0.1, abs=1e-12)
 
 
-def test_semi_infinite_builds_constraint_basis_once(monkeypatch):
-    # One solve runs every cut's LP and every certification on one basis,
-    # wherever constraint_basis is looked up; the floor needs none.
-    calls = []
+def test_semi_infinite_never_builds_constraint_basis(monkeypatch):
+    # The rows are evaluated directly and every certification works on
+    # Bernstein coefficients: no solve expands the monomial basis, wherever
+    # it is looked up.
+    def refuse(*args):
+        raise AssertionError("the LP path expanded the monomial basis")
 
-    def counting(*args):
-        calls.append(args)
-        return constraint_basis(*args)
-
-    for module in ("ldpcdesign.lp", "ldpcdesign.certify"):
-        monkeypatch.setattr(f"{module}.constraint_basis", counting)
-    req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)
-    res = solve_semi_infinite(req)
-    assert res.status == "optimal" and res.solver_iterations == 8
-    assert calls == [(RHO_X3, 0.3, 6)]
+    for module in ("ldpcdesign.lp", "ldpcdesign.polynomials", "ldpcdesign.certify"):
+        monkeypatch.setattr(f"{module}.constraint_basis", refuse, raising=False)
+    for alpha in (0.5, 1.0):
+        res = solve_semi_infinite(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=alpha, d_v=6))
+        assert res.status == "optimal" and res.solver_iterations >= 1
 
 
-def test_semi_infinite_takes_floor_from_bernstein_coefficients(monkeypatch):
+def test_semi_infinite_takes_floor_from_bernstein_coefficients():
     # The monomial expansion reads the floor of this design as 3.41, which
     # would refuse every alpha; the true floor is 0.7399, the one the SDP
-    # path uses.  Getting past the floor is seen as the first build of the
-    # constraint basis.
-    class PastFloor(Exception):
-        pass
-
-    def past(*args):
-        raise PastFloor
-
-    monkeypatch.setattr("ldpcdesign.lp.constraint_basis", past)
-    rho = poly_from_edge_coeffs({5: 0.01834, 10: 0.98166})
+    # path uses.  Just past it the loop solves the design.
+    rho_map = {5: 0.01834, 10: 0.98166}
+    rho = poly_from_edge_coeffs(rho_map)
     floor = feasibility_floor(rho, 0.36333, 16)
     assert floor == pytest.approx(0.739855106897, abs=1e-9)
     below = solve_semi_infinite(
         SolveRequest(rho=rho, epsilon=0.36333, alpha=floor - 1e-6, d_v=16))
     assert below.status == "infeasible" and below.solver_iterations == 0
-    with pytest.raises(PastFloor):
-        solve_semi_infinite(
-            SolveRequest(rho=rho, epsilon=0.36333, alpha=floor + 1e-6, d_v=16))
+    above = solve_semi_infinite(
+        SolveRequest(rho=rho, epsilon=0.36333, alpha=floor + 1e-6, d_v=16))
+    assert above.status == "optimal" and above.solver_iterations >= 1
+    assert direct_min_slack(above.lambda_coeffs, rho_map, 0.36333, floor + 1e-6) >= -1e-9
+
+
+@pytest.mark.parametrize("design", AT_FLOOR_DESIGNS)
+def test_semi_infinite_solves_at_the_floor(design):
+    # The rhs backs off by tol / 2 but never below the row's value at all
+    # mass on d_v, so that lambda stays grid-feasible down to the floor.
+    rho_map, epsilon, d_v = design
+    rho = poly_from_edge_coeffs(rho_map)
+    floor = feasibility_floor(rho, epsilon, d_v)
+    for alpha in (floor, floor + 1e-10):
+        res = solve_semi_infinite(SolveRequest(rho=rho, epsilon=epsilon, alpha=alpha, d_v=d_v))
+        assert res.status == "optimal"
+        assert direct_min_slack(res.lambda_coeffs, rho_map, epsilon, alpha) >= -1e-9
+
+
+@pytest.mark.parametrize("design", FOUND_DESIGNS)
+def test_semi_infinite_solves_found_designs(design):
+    rho_map, epsilon, d_v, alpha = design
+    res = solve_semi_infinite(SolveRequest(
+        rho=poly_from_edge_coeffs(rho_map), epsilon=epsilon, alpha=alpha, d_v=d_v))
+    assert res.status == "optimal"
+    assert direct_min_slack(res.lambda_coeffs, rho_map, epsilon, alpha) >= -1e-9
+    pytest.importorskip("scipy.optimize")
+    objective = sum(c / i for i, c in res.lambda_coeffs.items())
+    assert objective == pytest.approx(
+        highs_grid_objective(rho_map, d_v, epsilon, alpha), abs=1e-6)
+
+
+def test_warm_started_cuts_match_cold_solve(monkeypatch):
+    # Every cut is added to the live tableau; after each one the warm
+    # optimum equals a cold two-phase solve of the whole grid so far.
+    first, cuts = [], []
+    two_phase, add_row = lp._two_phase, _SimplexState.add_row
+
+    def record_first(problem):
+        first.append(problem)
+        return two_phase(problem)
+
+    def record_cut(state, a, rhs):
+        status = add_row(state, a, rhs)
+        values = state.values(a.size)
+        cuts.append((a, rhs, status, float(first[0].c @ values)))
+        return status
+
+    monkeypatch.setattr(lp, "_two_phase", record_first)
+    monkeypatch.setattr(_SimplexState, "add_row", record_cut)
+    res = solve_semi_infinite(SolveRequest(
+        rho=poly_from_edge_coeffs({6: 1.0}), epsilon=0.4667, alpha=0.8731, d_v=13))
+    assert res.status == "optimal" and res.cuts_added == len(cuts) >= 10
+    base = first[0]
+    for k in range(1, len(cuts) + 1):
+        rows = [a for a, _, _, _ in cuts[:k]]
+        rhs = [b for _, b, _, _ in cuts[:k]]
+        _, cold, status = simplex_solve(LPStandardForm(
+            c=base.c, A=np.vstack([base.A, *rows]), b=np.concatenate([base.b, rhs]),
+            E=base.E, d=base.d))
+        assert status == cuts[k - 1][2] == "optimal"
+        assert cuts[k - 1][3] == pytest.approx(cold, abs=1e-12)
+
+
+def test_bland_fallback_ends_beale_cycle():
+    # Beale's LP: Dantzig pricing with these tie-breaks cycles through six
+    # degenerate bases from the slack basis.  After _DEGENERATE_RUN
+    # degenerate pivots Bland's rule takes over and reaches the optimum 5/4
+    # at x = (1, 0, 1, 0).
+    c = np.array([0.75, -20.0, 0.5, -6.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0],
+                  [0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    problem = LPStandardForm(c=c, A=A, b=np.array([0.0, 0.0, 1.0]),
+                             E=np.zeros((0, 4)), d=np.zeros(0))
+    state, status = lp._two_phase(problem)
+    assert status == "optimal" and state.pivots > lp._DEGENERATE_RUN
+    values, objective, status = simplex_solve(problem)
+    assert status == "optimal" and objective == pytest.approx(1.25, abs=1e-12)
+    assert values == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_semi_infinite_below_floor_infeasible():

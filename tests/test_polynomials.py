@@ -29,10 +29,10 @@ def test_eval_cube():
 
 
 def test_scalar_and_array_evaluation_round_identically():
-    # The certifier ranks grid values and refined scalar values in one
-    # argmin, so both evaluation paths must round the same way.  A
-    # high-degree basis polynomial with large cancelling coefficients makes
-    # any difference in the arithmetic show.
+    # Both evaluation paths must round the same way, so a value read at
+    # one point equals that point of an array.  A high-degree basis
+    # polynomial with large cancelling coefficients makes any difference in
+    # the arithmetic show.
     p = constraint_basis(poly_from_edge_coeffs({11: 1.0}), 0.347, 15)[-1]
     xs = np.linspace(0.0, 1.0, 200)
     scalar = np.array([p(x) for x in xs.tolist()])
