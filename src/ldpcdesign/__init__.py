@@ -1,27 +1,25 @@
 """Optimal-rate LDPC degree distributions on the BEC under a
 fast-convergence density-evolution constraint."""
 
-from .certify import MarginReport, feasibility_floor, min_normalized_slack, normalized_slack_poly
+from .certify import MarginReport, feasibility_floor, min_normalized_slack
 from .desim import DETrace, ThresholdResult, de_step, de_trace, empirical_contraction, threshold
 from .experiment import ExperimentConfig, SweepRow, emit_csv, parse_config, render_config, run_sweep
 from .lp import (LPStandardForm, OptimizationResult, SolveRequest, build_discretized_lp,
                  chebyshev_grid, simplex_solve, solve_semi_infinite)
 from .polynomials import (ChannelSpec, DegreeDistribution, Polynomial, RateReport,
-                          compose_inner, constraint_basis, design_rate,
-                          poly_from_edge_coeffs, rate_and_gap, rate_report)
+                          design_rate, poly_from_edge_coeffs, rate_and_gap, rate_report)
 from .sos import (SDPSolution, SOSCertificate, SOSProblem, build_sos_problem,
                   check_certificate, certificate_min_eigenvalue, solve_sdp)
 from .svgplot import emit_svg_plot
 
 __all__ = [
-    "MarginReport", "feasibility_floor", "min_normalized_slack", "normalized_slack_poly",
+    "MarginReport", "feasibility_floor", "min_normalized_slack",
     "DETrace", "ThresholdResult", "de_step", "de_trace", "empirical_contraction", "threshold",
     "ExperimentConfig", "SweepRow", "emit_csv", "parse_config", "render_config", "run_sweep",
     "LPStandardForm", "OptimizationResult", "SolveRequest", "build_discretized_lp",
     "chebyshev_grid", "simplex_solve", "solve_semi_infinite",
     "ChannelSpec", "DegreeDistribution", "Polynomial", "RateReport",
-    "compose_inner", "constraint_basis", "design_rate",
-    "poly_from_edge_coeffs", "rate_and_gap", "rate_report",
+    "design_rate", "poly_from_edge_coeffs", "rate_and_gap", "rate_report",
     "SDPSolution", "SOSCertificate", "SOSProblem", "build_sos_problem",
     "check_certificate", "certificate_min_eigenvalue", "solve_sdp",
     "emit_svg_plot",

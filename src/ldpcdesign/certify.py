@@ -23,9 +23,6 @@ built from nonnegative sums, with one de Casteljau subdivision loop:
 - ``feasibility_floor`` is the smallest feasible alpha; both solver paths
   (``lp.solve_semi_infinite``, ``sos.solve_sdp``) take their infeasibility
   test from it.
-
-``normalized_slack_poly`` still expands the slack in the monomial basis of
-``polynomials.constraint_basis``, which cancels at high degree.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .polynomials import (
-    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split,
-    constraint_basis)
+    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split)
 
 # min_slack >= -FEASIBILITY_TOL counts as feasible; solver outputs carry
 # float rounding and the DE simulator re-checks behaviour independently.
@@ -65,25 +61,6 @@ def _check_slack_args(dist_lambda: Mapping[int, float], alpha: float):
     for i, c in dist_lambda.items():
         if c < 0.0:
             raise ValueError(f"lambda coefficient for degree {i} is negative")
-
-
-def normalized_slack_poly(
-    dist_lambda: Mapping[int, float],
-    rho: Polynomial,
-    epsilon: float,
-    alpha: float,
-) -> Polynomial:
-    """s(x) = alpha - sum_i lambda_i * (g_i(x) / x) as a Polynomial, by the
-    monomial expansion of ``constraint_basis``, which cancels at high degree
-    (see ``polynomials``); no certifier uses it."""
-    _check_slack_args(dist_lambda, alpha)
-    basis = constraint_basis(rho, epsilon, max(dist_lambda))
-    s = Polynomial([float(alpha)])
-    for i, c in dist_lambda.items():
-        if c == 0.0:
-            continue
-        s = s - c * basis[i - 2].quotient_by_x()
-    return s
 
 
 def min_normalized_slack(

@@ -1,27 +1,21 @@
-"""Polynomial arithmetic and degree-distribution types for LDPC ensemble design.
+"""Polynomial and degree-distribution types for LDPC ensemble design.
 
-Density evolution works with dense monomial-basis polynomials over [0, 1]
-in 64-bit floats, built by repeated multiplication.  The SDP path, every
-certifier (the LP cut loop's, the CLI and sweep margins, the threshold
-search and the feasibility floor) work in Bernstein coefficients on [0, 1]
-(``bernstein_quotient_basis``, ``bernstein_quotient_sum``,
-``BernsteinQuotientSum``), built from nonnegative sums only, and split
-pieces by de Casteljau's algorithm (``bernstein_halves``).
-
-Known limitation: the monomial expansion of f^(i-1) in ``constraint_basis``
-cancels catastrophically at high degree.  Its coefficients reach about 1e21
-at d_v = 15, so an expanded slack polynomial can differ from direct
-evaluation in every digit (-8.65 against +0.099 at x = 1 for
-lambda = {4: 0.586, 15: 0.414}, rho = x^10, epsilon = 0.347).  No solver
-path or certifier expands any more; only ``certify.normalized_slack_poly``
-still does (ROADMAP item 1).
+``Polynomial`` is a dense monomial-basis polynomial in 64-bit floats.  It
+holds the degree distributions parsed from user input and serves their
+evaluation (density evolution, the directly evaluated LP rows), the
+derivative (the x -> 0 LP row) and the integral over [0, 1] (the rate).
+The SDP path and every certifier (the LP cut loop's, the CLI and sweep
+margins, the threshold search and the feasibility floor) work instead in
+Bernstein coefficients on [0, 1], all built by ``BernsteinQuotientSum``
+from nonnegative sums only (``bernstein_quotient_sum``,
+``bernstein_quotient_basis``), and split pieces by de Casteljau's
+algorithm (``bernstein_halves``).
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, inf, log1p
 from typing import Iterable, Mapping
 
@@ -85,33 +79,6 @@ class Polynomial:
             result += c
         return result
 
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        n = max(self._coeffs.size, other._coeffs.size)
-        out = np.zeros(n)
-        out[: self._coeffs.size] += self._coeffs
-        out[: other._coeffs.size] += other._coeffs
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self._coeffs)
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "Polynomial":
-        if np.ndim(other) == 0 and not isinstance(other, Polynomial):
-            return Polynomial(self._coeffs * float(other))
-        other = _as_poly(other)
-        return Polynomial(np.convolve(self._coeffs, other._coeffs))
-
-    __rmul__ = __mul__
-
     def derivative(self) -> "Polynomial":
         if self._coeffs.size == 1:
             return Polynomial([0.0])
@@ -122,19 +89,6 @@ class Polynomial:
         """Integral over [0, 1]: sum of coeffs[k] / (k + 1)."""
         k = np.arange(self._coeffs.size)
         return float(np.sum(self._coeffs / (k + 1)))
-
-    def quotient_by_x(self) -> "Polynomial":
-        """Exact division by x; requires a (numerically) zero constant term."""
-        if abs(self._coeffs[0]) > 1e-12:
-            raise ValueError("polynomial has a nonzero constant term")
-        if self._coeffs.size == 1:
-            return Polynomial([0.0])
-        return Polynomial(self._coeffs[1:])
-
-    def with_zero_constant(self) -> "Polynomial":
-        out = self._coeffs.copy()
-        out[0] = 0.0
-        return Polynomial(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -149,14 +103,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self._coeffs.tolist()})"
-
-
-def _as_poly(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if np.ndim(value) == 0:
-        return Polynomial([float(value)])
-    return Polynomial(value)
 
 
 def poly_from_edge_coeffs(coeffs: Mapping[int, float]) -> Polynomial:
@@ -237,66 +183,6 @@ class RateReport:
     gap: float
 
 
-def compose_inner(rho: Polynomial, epsilon: float) -> Polynomial:
-    """Expand f(x) = 1 - rho(1 - epsilon*x) in the monomial basis.
-
-    Requires rho(1) = 1 (a valid edge distribution), which makes f(0) = 0;
-    the constant coefficient is forced to exactly zero because downstream
-    code divides by x.
-    """
-    if abs(rho(1.0) - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"rho(1) = {rho(1.0)} deviates from 1 beyond tolerance")
-    inner = Polynomial([1.0, -float(epsilon)])
-    acc = Polynomial([0.0])
-    for c in rho.coeffs[::-1]:
-        acc = acc * inner + c
-    f = Polynomial([1.0]) - acc
-    return f.with_zero_constant()
-
-
-def constraint_basis(rho: Polynomial, epsilon: float, d_v: int) -> list[Polynomial]:
-    """Powers g_i = f^(i-1) for i = 2..d_v, with f = compose_inner(rho, epsilon).
-
-    The density-evolution inequality becomes linear in the lambda
-    coefficients over this basis.
-    """
-    if d_v < 2:
-        raise ValueError(f"d_v must be at least 2, got {d_v}")
-    f = compose_inner(rho, epsilon)
-    basis = []
-    g = f
-    for _ in range(2, d_v + 1):
-        basis.append(g)
-        g = g * f
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _bernstein_weights(a: int, b: int) -> np.ndarray:
-    """(a+1, b+1) table C(a,i) C(b,k) / C(a+b,i+k): the weight of p_i q_k in
-    coefficient i+k of the Bernstein product of degrees a and b."""
-    w = np.array([[comb(a, i) * comb(b, k) / comb(a + b, i + k)
-                   for k in range(b + 1)] for i in range(a + 1)])
-    w.setflags(write=False)
-    return w
-
-
-def bernstein_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients on [0, 1] of the product of two polynomials
-    given by their Bernstein coefficients (degrees len(p)-1 and len(q)-1)."""
-    a, b = len(p) - 1, len(q) - 1
-    terms = np.outer(p, q) * _bernstein_weights(a, b)
-    levels = np.add.outer(np.arange(a + 1), np.arange(b + 1))
-    return np.bincount(levels.ravel(), weights=terms.ravel(),
-                       minlength=a + b + 1)
-
-
-def bernstein_elevate(p: np.ndarray, degree: int) -> np.ndarray:
-    """The same polynomial in Bernstein coefficients of a higher degree:
-    the product with 1, whose coefficients are all ones."""
-    return bernstein_product(p, np.ones(degree - len(p) + 2))
-
-
 def _inner_terms(rho: Polynomial, epsilon: float):
     """(rho_j, Bernstein coefficients at degree j of 1 - (1 - epsilon*x)^j)
     for each nonzero rho_j.  The coefficients are 1 - (1 - epsilon)^l for
@@ -314,41 +200,36 @@ def _inner_terms(rho: Polynomial, epsilon: float):
         yield rho.coeffs[j], term
 
 
-def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
-                             d_v: int) -> np.ndarray:
-    """Bernstein coefficients on [0, 1] of g_i / x = f^(i-1) / x for
-    i = 2..d_v, f(x) = 1 - rho(1 - epsilon*x), all at the common degree
-    m = (d_v - 1) deg(rho) - 1: column i - 2 of the (m+1, d_v-1) result.
-
-    Built from nonnegative sums only, so no coefficient suffers
-    cancellation at any degree.  As rho(1) = 1,
-    f = sum_j rho_j (1 - (1 - epsilon*x)^j), and term j has the Bernstein
-    coefficients 1 - (1 - epsilon)^l at degree j.  Products and degree
-    elevation add with positive weights, and division by x maps
-    coefficient c_{k+1} of degree n to c_{k+1} n / (k+1).  Nothing is
-    trimmed.
-    """
-    if d_v < 2:
-        raise ValueError(f"d_v must be at least 2, got {d_v}")
-    f = np.zeros(rho.degree + 1)
-    for c, term in _inner_terms(rho, epsilon):
-        f += c * bernstein_elevate(term, rho.degree)
-    columns = []
-    g = f
-    for _ in range(2, d_v + 1):
-        n = g.size - 1
-        columns.append(g[1:] * n / np.arange(1, n + 1))
-        g = bernstein_product(g, f)
-    m = columns[-1].size - 1
-    return np.column_stack([bernstein_elevate(h, m) for h in columns])
-
-
 def _binomial_row(n: int) -> np.ndarray:
     """C(n, k) for k = 0..n as floats, by the running product."""
     row = np.empty(n + 1)
     row[0] = 1.0
     np.cumprod(np.arange(n, 0, -1.0) / np.arange(1.0, n + 1), out=row[1:])
     return row
+
+
+def bernstein_elevate(p: np.ndarray, degree: int) -> np.ndarray:
+    """The same polynomial in Bernstein coefficients of a higher degree.
+    In scaled coefficients p_k C(n, k) it is the product with
+    1 = (x + (1 - x))^(degree - n), a convolution with the binomial row of
+    degree - n; all weights are positive."""
+    p = np.asarray(p, dtype=float)
+    n = p.size - 1
+    scaled = np.convolve(p * _binomial_row(n), _binomial_row(degree - n))
+    return scaled / _binomial_row(degree)
+
+
+def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
+                             d_v: int) -> np.ndarray:
+    """Bernstein coefficients on [0, 1] of g_i / x = f^(i-1) / x for
+    i = 2..d_v, f(x) = 1 - rho(1 - epsilon*x), all at the common degree
+    m = (d_v - 1) deg(rho) - 1: column i - 2 of the (m+1, d_v-1) result is
+    ``BernsteinQuotientSum`` at lambda = e_i, bit for bit
+    ``bernstein_quotient_sum({d_v: 0.0, i: 1.0}, rho, epsilon)``.
+    """
+    quotient = BernsteinQuotientSum(rho, d_v)
+    f = quotient.scaled_inner(epsilon)
+    return np.column_stack([quotient({i: 1.0}, f) for i in range(2, d_v + 1)])
 
 
 def bernstein_quotient_sum(lambda_coeffs: Mapping[int, float], rho: Polynomial,

@@ -14,9 +14,10 @@ block of the lambda scalars; coefficient matching plus sum lambda = 1) is
 solved by an in-repo primal-dual interior-point kernel built on a
 homogeneous self-dual embedding, in float64 on numpy/LAPACK.  That suffices
 because the Bernstein form is well conditioned on [0, 1] (Farouki & Rajan
-1987): the columns g_i / x come from nonnegative sums and every Gram-map
-weight lies in (0, 1], where the monomial expansion cancels
-catastrophically.  Infeasibility is decided only by the feasibility floor
+1987): the columns g_i / x come from nonnegative sums
+(``polynomials.bernstein_quotient_basis``) and every Gram-map weight lies
+in (0, 1], whereas expanding g_i in monomials cancels catastrophically at
+high degree.  Infeasibility is decided only by the feasibility floor
 (``certify.feasibility_floor``, from Bernstein coefficients as well), before
 any solve; an alpha that slips past the floor ends as ``iteration-limit``.
 """

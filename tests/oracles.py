@@ -4,10 +4,11 @@ The vertex-enumeration LP oracle and the threshold oracles deliberately
 avoid the library's solver code paths: the first enumerates vertices by
 brute force, the threshold oracles scan the DE update map for fixed points
 or take its closed form on a dense grid.  The fine-grid objective is a
-referee for the cutting-plane loop only: it runs the library's simplex
-kernel once, on the dual of a dense-grid LP.  The HiGHS grid objective
-and the direct slack share no code with the library: their rows are
-evaluated directly, never expanded, and scipy solves the LP.
+referee for the cutting-plane loop only: it evaluates its rows directly,
+never expanded, and runs the library's simplex kernel once, on the dual
+of a dense-grid LP.  The HiGHS grid objective and the direct slack share
+no code with the library: their rows are evaluated directly as well, and
+scipy solves the LP.
 """
 
 from itertools import combinations
@@ -15,7 +16,6 @@ from itertools import combinations
 import numpy as np
 
 from ldpcdesign.lp import LPStandardForm, simplex_solve
-from ldpcdesign.polynomials import constraint_basis
 
 
 def brute_force_lp(c, A, b, E, d):
@@ -81,10 +81,12 @@ def bisect_threshold_by_recursion(lam_poly, rho_poly, tol=1e-4):
 
 def fine_grid_objective(req, num_points=20_000):
     """Referee objective: one-shot LP on a uniform grid, solved through the
-    same simplex kernel applied to the dual (few rows, many columns)."""
+    same simplex kernel applied to the dual (few rows, many columns).  The
+    rows f(x)^(i-1), f(x) = 1 - rho(1 - epsilon x), are evaluated
+    directly."""
     xs = np.arange(1, num_points + 1) / num_points
-    basis = constraint_basis(req.rho, req.epsilon, req.d_v)
-    G = np.column_stack([g(xs) for g in basis])  # num_points x n
+    f = 1.0 - req.rho(1.0 - req.epsilon * xs)
+    G = f[:, None] ** np.arange(1, req.d_v)  # num_points x n
     n = req.d_v - 1
     c = np.array([1.0 / i for i in range(2, req.d_v + 1)])
     b = req.alpha * xs

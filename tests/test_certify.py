@@ -1,5 +1,5 @@
-"""Certifiers: normalized slack polynomial, margins, the Bernstein
-positivity proof, and the feasibility floor."""
+"""Certifiers: the normalized slack's Bernstein coefficients, margins, the
+Bernstein positivity proof, and the feasibility floor."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ import pytest
 from ldpcdesign import certify
 from ldpcdesign.certify import (
     FEASIBILITY_TOL, MAX_SPLIT_DEPTH, bernstein_margin, feasibility_floor,
-    min_normalized_slack, normalized_slack_poly, proves_positive)
+    min_normalized_slack, proves_positive)
 from ldpcdesign.polynomials import (
-    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split,
+    bernstein_halves, bernstein_quotient_sum, bernstein_split,
     poly_from_edge_coeffs)
 
 from oracles import direct_min_slack, threshold_closed_form
@@ -19,25 +19,28 @@ RHO_X3 = poly_from_edge_coeffs({4: 1.0})
 
 
 def test_slack_poly_constant_case():
-    s = normalized_slack_poly({2: 1.0}, RHO_X, 0.5, 1.0)
-    assert np.allclose(s.coeffs, [0.5])
+    # The normalized slack in Bernstein coefficients; rho = x, lambda = x:
+    # f(x) / x = epsilon, so s = alpha - epsilon.
+    s = 1.0 - bernstein_quotient_sum({2: 1.0}, RHO_X, 0.5)
+    assert np.allclose(s, [0.5], rtol=0.0, atol=1e-15)
 
 
 def test_slack_poly_cubic_case():
-    s = normalized_slack_poly({2: 1.0}, RHO_X3, 0.3, 1.0)
-    assert np.allclose(s.coeffs, [0.1, 0.27, -0.027], atol=1e-15)
+    # s(x) = 0.1 + 0.27 x - 0.027 x^2 in Bernstein coefficients of degree 2.
+    s = 1.0 - bernstein_quotient_sum({2: 1.0}, RHO_X3, 0.3)
+    assert np.allclose(s, [0.1, 0.235, 0.343], rtol=0.0, atol=1e-15)
 
 
 def test_slack_poly_rejects_alpha_out_of_range():
-    with pytest.raises(ValueError):
-        normalized_slack_poly({2: 1.0}, RHO_X, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        normalized_slack_poly({2: 1.0}, RHO_X, 0.5, 1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        min_normalized_slack({2: 1.0}, RHO_X, 0.5, 0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        min_normalized_slack({2: 1.0}, RHO_X, 0.5, 1.5)
 
 
 def test_slack_poly_rejects_negative_lambda():
-    with pytest.raises(ValueError):
-        normalized_slack_poly({2: 1.5, 3: -0.5}, RHO_X, 0.5, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        min_normalized_slack({2: 1.5, 3: -0.5}, RHO_X, 0.5, 1.0)
 
 
 def test_min_slack_constant_case():

@@ -1,5 +1,6 @@
 """Config parsing, sweep orchestration, CSV/SVG output, and CLI exit codes."""
 
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -293,6 +294,19 @@ def test_cli_certify_sos(capsys):
                  "--dv-max", "6", "--alpha", "0.5"])
     assert code == 0
     assert "certificate_valid = True" in capsys.readouterr().out
+
+
+def test_cli_certify_sos_refuses_degree_beyond_float64_at_once(capsys):
+    # rho = x^10 and d_v = 105 give a slack of degree 1039, whose scaled
+    # Bernstein coefficients overflow float64: refused before any table of
+    # that size is built.
+    start = time.perf_counter()
+    code = main(["certify-sos", "--rho", "x^10", "--epsilon", "0.3",
+                 "--dv-max", "105", "--alpha", "1.0"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert "too high for float64" in capsys.readouterr().err
+    assert elapsed < 2.0
 
 
 def test_cli_config_file_supplies_defaults(tmp_path, capsys):

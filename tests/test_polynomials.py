@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, degree distributions, and rate computations."""
+"""Polynomial evaluation, the Bernstein builders, degree distributions, and
+rate computations."""
 
 from math import comb
 
@@ -6,14 +7,13 @@ import numpy as np
 import pytest
 
 from ldpcdesign.polynomials import (
-    ChannelSpec, DegreeDistribution, Polynomial, bernstein_halves,
-    bernstein_quotient_basis, bernstein_quotient_sum, bernstein_split,
-    compose_inner, constraint_basis, design_rate, poly_from_edge_coeffs,
-    rate_report)
+    BernsteinQuotientSum, ChannelSpec, DegreeDistribution, Polynomial,
+    bernstein_elevate, bernstein_halves, bernstein_quotient_basis,
+    bernstein_quotient_sum, bernstein_split, design_rate,
+    poly_from_edge_coeffs, rate_report)
 
 X = Polynomial([0.0, 1.0])
 X3 = Polynomial([0.0, 0.0, 0.0, 1.0])
-X5 = Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_eval_identity():
@@ -30,10 +30,10 @@ def test_eval_cube():
 
 def test_scalar_and_array_evaluation_round_identically():
     # Both evaluation paths must round the same way, so a value read at
-    # one point equals that point of an array.  A high-degree basis
-    # polynomial with large cancelling coefficients makes any difference in
-    # the arithmetic show.
-    p = constraint_basis(poly_from_edge_coeffs({11: 1.0}), 0.347, 15)[-1]
+    # one point equals that point of an array.  A high-degree polynomial
+    # with large cancelling coefficients, (1 - 2x)^40, makes any difference
+    # in the arithmetic show.
+    p = Polynomial([comb(40, k) * (-2.0) ** k for k in range(41)])
     xs = np.linspace(0.0, 1.0, 200)
     scalar = np.array([p(x) for x in xs.tolist()])
     assert all(type(p(x)) is float for x in (0.5, np.float64(0.5), np.array(0.5)))
@@ -49,88 +49,112 @@ def test_trailing_coefficients_trimmed():
     assert list(p.coeffs) == [1.0, 2.0]
 
 
-def test_polynomial_product_and_power():
-    p = Polynomial([1.0, 1.0])  # 1 + x
-    sq = p * p
-    assert np.allclose(sq.coeffs, [1.0, 2.0, 1.0])
-
-
 def test_derivative_and_integral():
     p = Polynomial([1.0, 0.0, 3.0])  # 1 + 3x^2
     assert np.allclose(p.derivative().coeffs, [0.0, 6.0])
     assert p.integral01() == pytest.approx(2.0, abs=1e-15)
 
 
+# --- the inner function f(x) = 1 - rho(1 - epsilon*x), composed in Bernstein
+# coefficients by BernsteinQuotientSum.scaled_inner
+
+
+def _inner_coeffs(rho, epsilon):
+    """Bernstein coefficients of f(x) = 1 - rho(1 - epsilon*x) at degree
+    deg(rho), as the builder composes them."""
+    r = rho.degree
+    binom = np.array([comb(r, k) for k in range(r + 1)], dtype=float)
+    return BernsteinQuotientSum(rho, 2).scaled_inner(epsilon) / binom
+
+
 def test_compose_inner_linear():
-    f = compose_inner(X, 0.5)
-    assert np.allclose(f.coeffs, [0.0, 0.5])
+    assert np.allclose(_inner_coeffs(X, 0.5), [0.0, 0.5], rtol=0.0, atol=1e-16)
 
 
 def test_compose_inner_cubic_expansion():
-    f = compose_inner(X3, 0.3)
-    assert np.allclose(f.coeffs, [0.0, 0.9, -0.27, 0.027], atol=1e-15)
+    # f = 0.9 x - 0.27 x^2 + 0.027 x^3: Bernstein coefficients 1 - 0.7^l.
+    assert np.allclose(_inner_coeffs(X3, 0.3), [0.0, 0.3, 0.51, 0.657],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_compose_inner_epsilon_one_boundary():
-    f = compose_inner(X5, 1.0)
-    # 1 - (1 - x)^5 has signed binomial coefficients.
-    assert np.allclose(f.coeffs, [0.0, 5.0, -10.0, 10.0, -5.0, 1.0])
+    # 1 - (1 - x)^5 has signed monomial coefficients, but Bernstein
+    # coefficients 0, 1, 1, 1, 1, 1.
+    X5 = Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(_inner_coeffs(X5, 1.0), [0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_compose_inner_constant_term_exactly_zero():
-    f = compose_inner(X3, 0.3)
-    assert f.coeffs[0] == 0.0
+    rho = poly_from_edge_coeffs({3: 0.4, 11: 0.6})
+    assert _inner_coeffs(rho, 0.347)[0] == 0.0
+    assert np.all(bernstein_quotient_basis(rho, 0.347, 4)[0, 1:] == 0.0)
 
 
 def test_compose_inner_rejects_unnormalized_rho():
-    with pytest.raises(ValueError):
-        compose_inner(Polynomial([0.0, 0.5]), 0.3)
+    rho = Polynomial([0.0, 0.5])
+    with pytest.raises(ValueError, match="rho"):
+        _inner_coeffs(rho, 0.3)
+    with pytest.raises(ValueError, match="rho"):
+        bernstein_quotient_basis(rho, 0.3, 3)
 
 
 def test_compose_inner_monotone():
+    # Nondecreasing Bernstein coefficients make f nondecreasing on [0, 1].
     rng = np.random.default_rng(0)
-    f = compose_inner(X3, 0.3)
-    for _ in range(1000):
-        a, b = np.sort(rng.random(2))
-        assert f(a) <= f(b) + 1e-12
+    for _ in range(200):
+        degrees = rng.choice(np.arange(2, 12), size=2, replace=False)
+        w = rng.dirichlet(np.ones(2))
+        rho = poly_from_edge_coeffs(dict(zip(degrees.tolist(), w.tolist())))
+        assert np.all(np.diff(_inner_coeffs(rho, float(rng.uniform(0.05, 0.95)))) >= 0.0)
 
 
 def test_compose_inner_matches_direct_evaluation():
     rng = np.random.default_rng(1)
-    for _ in range(1000):
+    for _ in range(200):
         j = int(rng.integers(2, 8))
         rho = poly_from_edge_coeffs({j: 1.0})
         eps = float(rng.uniform(0.05, 0.95))
-        x = float(rng.random())
-        f = compose_inner(rho, eps)
-        assert f(x) == pytest.approx(1.0 - rho(1.0 - eps * x), abs=1e-10)
+        x = rng.random(5)
+        assert np.allclose(_bernstein_values(_inner_coeffs(rho, eps), x),
+                           1.0 - rho(1.0 - eps * x), rtol=0.0, atol=1e-14)
+
+
+# --- the constraint basis g_i / x = f^(i-1) / x, in Bernstein coefficients
+# (bernstein_quotient_basis)
 
 
 def test_constraint_basis_linear():
-    g = constraint_basis(X, 0.5, 3)
-    assert np.allclose(g[0].coeffs, [0.0, 0.5])
-    assert np.allclose(g[1].coeffs, [0.0, 0.0, 0.25])
+    # rho = x, epsilon = 0.5: g_2 / x = 0.5 and g_3 / x = 0.25 x, at degree 1.
+    H = bernstein_quotient_basis(X, 0.5, 3)
+    assert np.allclose(H, [[0.5, 0.0], [0.5, 0.25]], rtol=0.0, atol=1e-16)
 
 
 def test_constraint_basis_base_case():
-    g = constraint_basis(X3, 0.3, 2)
-    assert len(g) == 1
-    assert np.allclose(g[0].coeffs, compose_inner(X3, 0.3).coeffs)
+    # d_v = 2: the single column is f / x = 0.9 - 0.27 x + 0.027 x^2.
+    H = bernstein_quotient_basis(X3, 0.3, 2)
+    assert H.shape == (3, 1)
+    assert np.allclose(H[:, 0], [0.9, 0.765, 0.657], rtol=0.0, atol=1e-15)
 
 
 def test_constraint_basis_rejects_small_dv():
-    with pytest.raises(ValueError):
-        constraint_basis(X3, 0.3, 1)
+    with pytest.raises(ValueError, match="d_v"):
+        bernstein_quotient_basis(X3, 0.3, 1)
 
 
 def test_constraint_basis_ordering():
-    g = constraint_basis(X3, 0.3, 6)
-    xs = np.linspace(0.0, 1.0, 200)
-    for lo, hi in zip(g[1:], g[:-1]):
-        for x in xs:
-            assert lo(x) <= hi(x) + 1e-12
-    for p in g:
-        assert p(0.0) == 0.0
+    # 0 <= f <= 1 on [0, 1], so f^i / x <= f^(i-1) / x, and with f's
+    # Bernstein coefficients in [0, 1] this holds coefficient by
+    # coefficient: feasibility_floor's premise that all mass on d_v
+    # minimises the constraint.  At epsilon = 1 some coefficients are equal
+    # in exact arithmetic and differ by rounding.
+    for rho_coeffs, epsilon, d_v in (({4: 1.0}, 0.3, 6),
+                                     ({3: 0.4, 11: 0.6}, 0.347, 15),
+                                     ({6: 1.0}, 1.0, 8)):
+        H = bernstein_quotient_basis(poly_from_edge_coeffs(rho_coeffs), epsilon, d_v)
+        assert np.all(H[:, 1:] <= H[:, :-1] * (1.0 + 1e-15))
+
+
+# --- degree distributions and rates
 
 
 def test_design_rate_regular_36():
@@ -228,6 +252,35 @@ def test_bernstein_quotient_basis_matches_direct_evaluation(rho_coeffs, epsilon,
     w = np.arange(1.0, d_v) / np.arange(1.0, d_v).sum()
     q = bernstein_quotient_sum(dict(zip(range(2, d_v + 1), w)), rho, epsilon)
     assert np.allclose(q, H @ w, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("rho_coeffs, epsilon, d_v", [
+    ({4: 1.0}, 0.3, 6),
+    ({3: 0.4, 11: 0.6}, 0.347, 15),
+    ({5: 0.01834, 10: 0.98166}, 1.0, 9),
+])
+def test_bernstein_quotient_basis_columns_are_unit_lambda_sums(rho_coeffs, epsilon, d_v):
+    # One builder: column i - 2 is the weighted sum at lambda = e_i with top
+    # degree d_v (the d_v entry first, so that i = d_v overrides it), and
+    # the last column is the vector feasibility_floor maximises.
+    rho = poly_from_edge_coeffs(rho_coeffs)
+    H = bernstein_quotient_basis(rho, epsilon, d_v)
+    for i in range(2, d_v + 1):
+        assert np.array_equal(H[:, i - 2],
+                              bernstein_quotient_sum({d_v: 0.0, i: 1.0}, rho, epsilon))
+    assert np.array_equal(H[:, -1], bernstein_quotient_sum({d_v: 1.0}, rho, epsilon))
+
+
+@pytest.mark.parametrize("n, degree", [(0, 3), (5, 5), (7, 30), (40, 139)])
+def test_bernstein_elevate_keeps_the_polynomial(n, degree):
+    p = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
+    q = bernstein_elevate(p, degree)
+    assert q.size == degree + 1
+    t = np.linspace(0.0, 1.0, 33)
+    assert np.allclose(_bernstein_values(q, t), _bernstein_values(p, t),
+                       rtol=1e-12, atol=1e-13)
+    # The end coefficients are values of the polynomial.
+    assert q[0] == p[0] and q[-1] == pytest.approx(p[-1], rel=1e-14)
 
 
 def test_bernstein_quotient_sum_rejects_degree_beyond_float64():
