@@ -79,7 +79,12 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class LPStandardForm:
-    """max c.x  s.t.  A x <= b,  E x = d,  x >= 0."""
+    """max c.x  s.t.  A x <= b,  E x = d,  x >= 0.
+
+    Input of ``simplex_solve``; like it, no solver path uses it.  It
+    serves acceptance criteria 7 and 8 and the benchmark's tracer
+    (``bench/tracing.py``).
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -112,7 +117,10 @@ class OptimizationResult:
 def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
     """Variables lambda_2..lambda_{d_v}; max sum lambda_i / i; simplex
     equality; one inequality sum_i lambda_i f(x_k)^(i-1) / x_k <= alpha per
-    grid point."""
+    grid point.  The fixed-grid LP, without the cut loop: it serves
+    acceptance criterion 8 and the benchmark's tracer
+    (``bench/tracing.py``); ``solve_semi_infinite`` builds its rows
+    itself."""
     A = _rows(req.rho, req.epsilon, req.d_v, req.grid)
     return _lp(A, np.full(len(A), float(req.alpha)))
 
@@ -120,7 +128,8 @@ def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
 def _rows(rho: Polynomial, epsilon: float, d_v: int, x) -> np.ndarray:
     """Constraint rows f(x_k)^(i-1) / x_k, i = 2..d_v, at points x_k in
     [0, 1], with f(x) = 1 - rho(1 - epsilon x) evaluated by Horner on rho.
-    A point x_k = 0 gives the limit row (epsilon rho'(1), 0, ..., 0)."""
+    A point x_k = 0 gives the limit row (epsilon rho'(1), 0, ..., 0).  The
+    SOS path's node rows (``sos.build_sos_problem``) are these rows too."""
     x = np.asarray(x, dtype=float)
     at_zero = x == 0.0
     x = np.where(at_zero, 1.0, x)
@@ -325,7 +334,10 @@ def simplex_solve(lp: LPStandardForm):
     """Two-phase primal simplex, Dantzig pricing with a Bland fallback.
 
     Returns (values, objective, status) with status in
-    {optimal, infeasible, unbounded}.
+    {optimal, infeasible, unbounded}.  The kernel on general LPs: it serves
+    acceptance criteria 7 and 8 and the benchmark's tracer
+    (``bench/tracing.py``); ``solve_semi_infinite`` drives the same
+    ``_two_phase`` and ``_SimplexState`` directly.
     """
     state, status = _two_phase(lp)
     if status == "infeasible":

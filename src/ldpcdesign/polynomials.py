@@ -4,12 +4,12 @@
 holds the degree distributions parsed from user input and serves their
 evaluation (density evolution, the directly evaluated LP rows), the
 derivative (the x -> 0 LP row) and the integral over [0, 1] (the rate).
-The SDP path and every certifier (the LP cut loop's, the CLI and sweep
-margins, the threshold search and the feasibility floor) work instead in
-Bernstein coefficients on [0, 1], all built by ``BernsteinQuotientSum``
-from nonnegative sums only (``bernstein_quotient_sum``,
-``bernstein_quotient_basis``), and split pieces by de Casteljau's
-algorithm (``bernstein_halves``).
+Every certifier (the LP cut loop's, the CLI and sweep margins, the
+threshold search, the feasibility floor and the SOS certificate check)
+works instead in Bernstein coefficients on [0, 1], all built by
+``BernsteinQuotientSum`` from nonnegative sums only
+(``bernstein_quotient_sum``), and evaluates or splits them by de
+Casteljau's algorithm (``bernstein_values``, ``bernstein_halves``).
 """
 
 from __future__ import annotations
@@ -208,30 +208,6 @@ def _binomial_row(n: int) -> np.ndarray:
     return row
 
 
-def bernstein_elevate(p: np.ndarray, degree: int) -> np.ndarray:
-    """The same polynomial in Bernstein coefficients of a higher degree.
-    In scaled coefficients p_k C(n, k) it is the product with
-    1 = (x + (1 - x))^(degree - n), a convolution with the binomial row of
-    degree - n; all weights are positive."""
-    p = np.asarray(p, dtype=float)
-    n = p.size - 1
-    scaled = np.convolve(p * _binomial_row(n), _binomial_row(degree - n))
-    return scaled / _binomial_row(degree)
-
-
-def bernstein_quotient_basis(rho: Polynomial, epsilon: float,
-                             d_v: int) -> np.ndarray:
-    """Bernstein coefficients on [0, 1] of g_i / x = f^(i-1) / x for
-    i = 2..d_v, f(x) = 1 - rho(1 - epsilon*x), all at the common degree
-    m = (d_v - 1) deg(rho) - 1: column i - 2 of the (m+1, d_v-1) result is
-    ``BernsteinQuotientSum`` at lambda = e_i, bit for bit
-    ``bernstein_quotient_sum({d_v: 0.0, i: 1.0}, rho, epsilon)``.
-    """
-    quotient = BernsteinQuotientSum(rho, d_v)
-    f = quotient.scaled_inner(epsilon)
-    return np.column_stack([quotient({i: 1.0}, f) for i in range(2, d_v + 1)])
-
-
 def bernstein_quotient_sum(lambda_coeffs: Mapping[int, float], rho: Polynomial,
                            epsilon: float) -> np.ndarray:
     """Bernstein coefficients on [0, 1] of sum_i lambda_i f^(i-1) / x,
@@ -307,6 +283,16 @@ class BernsteinQuotientSum:
                 p += c * self._horner[k]
         q = np.convolve(p, f[1:])
         return q / self._unscale
+
+
+def bernstein_values(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values at the points x of the polynomial with Bernstein coefficients
+    p on [0, 1], by de Casteljau's algorithm: convex combinations only."""
+    x = np.asarray(x, dtype=float)[:, None]
+    b = np.tile(np.asarray(p, dtype=float), (x.size, 1))
+    for n in range(b.shape[1] - 1, 0, -1):
+        b = (1.0 - x) * b[:, :n] + x * b[:, 1:n + 1]
+    return b[:, 0]
 
 
 def bernstein_halves(m: int) -> np.ndarray:

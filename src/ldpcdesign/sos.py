@@ -1,41 +1,48 @@
 """SDP path: sum-of-squares certificates for the fast-convergence constraint.
 
 The slack polynomial p(x) = alpha*x - sum_i lambda_i g_i(x) vanishes at 0,
-so nonnegativity on [0, 1] is imposed on q = p / x through the two-block
-interval representation
+so nonnegativity on [0, 1] is imposed on q = p / x, of degree m, through the
+two-block interval representation
 
-    deg q even:  q = sigma0 + x(1-x) sigma1
-    deg q odd:   q = x sigma0 + (1-x) sigma1
+    m even:  q = sigma0 + x(1-x) sigma1
+    m odd:   q = x sigma0 + (1-x) sigma1
 
-with each sigma = b(x)^T G b(x) a sum of squares over the Bernstein basis b
-of its half degree, and every coefficient matched in the Bernstein basis on
-[0, 1].  The small block-diagonal SDP (the Gram blocks and one diagonal
-block of the lambda scalars; coefficient matching plus sum lambda = 1) is
-solved by an in-repo primal-dual interior-point kernel built on a
-homogeneous self-dual embedding, in float64 on numpy/LAPACK.  That suffices
-because the Bernstein form is well conditioned on [0, 1] (Farouki & Rajan
-1987): the columns g_i / x come from nonnegative sums
-(``polynomials.bernstein_quotient_basis``) and every Gram-map weight lies
-in (0, 1], whereas expanding g_i in monomials cancels catastrophically at
-high degree.  Infeasibility is decided only by the feasibility floor
-(``certify.feasibility_floor``, from Bernstein coefficients as well), before
-any solve; an alpha that slips past the floor ends as ``iteration-limit``.
+with each sigma = v(x)^T G v(x) a sum of squares over the Chebyshev basis
+v_j(x) = T_j(2x - 1) of its half degree.  Both sides have degree m, so they
+are equal when they agree at m + 1 points: the Chebyshev nodes of the first
+kind on [0, 1] (Löfberg & Parrilo 2004, "From coefficients to samples").
+At node x_k the lambda side is the LP's constraint row ``lp._rows``, so
+both solvers read the constraint through one row builder, and each Gram
+block enters row k through the rank-one matrix mult(x_k) v(x_k) v(x_k)^T.
+
+The SDP (the Gram blocks and a nonnegative orthant for lambda; the m + 1
+node rows, then sum lambda = 1) is solved by an in-repo primal-dual
+interior-point kernel on a homogeneous self-dual embedding, in float64 on
+numpy/LAPACK.  With rank-one rows its Schur complement is a sum of Hadamard
+products of small matrices (Roh & Vandenberghe 2006).  Infeasibility is
+decided only by the feasibility floor (``certify.feasibility_floor``, from
+Bernstein coefficients), before any solve; an alpha that slips past the
+floor ends as ``iteration-limit``.
+
+A certificate is checked at the same nodes: the largest deviation there
+between q and the polynomial the Gram blocks encode, times the bound
+(2/pi) ln(m + 1) + 1 on the Lebesgue constant of the nodes, bounds their
+deviation on all of [0, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from . import certify
-from .lp import SolveRequest
-from .polynomials import Polynomial, bernstein_elevate, bernstein_quotient_basis
+from .lp import SolveRequest, _rows
+from .polynomials import Polynomial, bernstein_values
 
-# A returned certificate is valid when its coefficient-matching residual is
-# at most MATCHING_TOL and its smallest Gram eigenvalue at least -EIG_TOL.
+# A returned certificate is valid when its matching residual, a bound on
+# the deviation on [0, 1], is at most MATCHING_TOL and its smallest Gram
+# eigenvalue at least -EIG_TOL.
 MATCHING_TOL = 1e-8
 EIG_TOL = 1e-8
 MAX_IPM_ITERS = 500
@@ -52,7 +59,7 @@ def _solve(A, rhs):
 @dataclass(frozen=True)
 class SOSProblem:
     degrees: tuple  # variable-node degrees 2..d_v
-    h_matrix: np.ndarray  # (m+1) x (d_v-1); column i: Bernstein coeffs of g_i/x
+    node_rows: np.ndarray  # (m+1) x (d_v-1): g_i / x at the nodes (lp._rows)
     alpha: float
     q_degree: int  # m
     gram_sizes: tuple  # (s0, s1); s1 may be 0
@@ -60,15 +67,10 @@ class SOSProblem:
     rho: Polynomial
     epsilon: float
 
-    def slack_coeffs(self, lam) -> np.ndarray:
-        """Bernstein coefficients of q = alpha - sum_i lambda_i g_i / x,
-        given the lambda vector ordered as ``degrees``."""
-        return self.alpha - self.h_matrix @ np.asarray(lam, dtype=float)
-
 
 @dataclass(frozen=True)
 class SOSCertificate:
-    gram_blocks: tuple  # one or two symmetric ndarray blocks
+    gram_blocks: tuple  # one or two symmetric blocks over T_j(2x - 1)
     matching_residual: float
     min_eigenvalue: float
 
@@ -91,152 +93,108 @@ def _gram_sizes(m: int) -> tuple[int, int]:
     return (m + 1) // 2, (m + 1) // 2
 
 
-@lru_cache(maxsize=None)
-def _gram_maps(m: int) -> tuple[np.ndarray, ...]:
-    """Stacked (m+1, s, s) linear maps from each nonempty Gram block to the
-    Bernstein coefficients of q: map[l] paired with the block gives its
-    share of q_l.  A block of half degree t times its multiplier, 1 or
-    (1-x) at offset 0, x or x(1-x) at offset 1, maps entry (j, k) to
-    coefficient l = j + k + offset with weight C(t,j) C(t,k) / C(m,l)."""
-    odd = m % 2
-    maps = []
-    for size, offset in zip(_gram_sizes(m), (odd, 1 - odd)):
-        if size == 0:
-            continue
-        t = size - 1
-        M = np.zeros((m + 1, size, size))
-        for j in range(size):
-            for k in range(size):
-                l = j + k + offset
-                M[l, j, k] = comb(t, j) * comb(t, k) / comb(m, l)
-        M.setflags(write=False)
-        maps.append(M)
-    return tuple(maps)
+def _nodes(m: int) -> np.ndarray:
+    """The m + 1 Chebyshev nodes of the first kind on [0, 1], ascending."""
+    k = np.arange(m + 1)
+    return (1.0 - np.cos((2 * k + 1) * np.pi / (2 * m + 2))) / 2.0
 
 
-def _gram_coeffs(m: int, blocks) -> np.ndarray:
-    """Bernstein coefficients of the degree-m polynomial that the Gram
-    blocks encode."""
-    return sum(np.einsum("lij,ij->l", M, G)
-               for M, G in zip(_gram_maps(m), blocks))
+def _multipliers(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The interval multipliers of sigma0 and sigma1 at the points x."""
+    if m % 2 == 0:
+        return np.ones_like(x), x * (1.0 - x)
+    return x, 1.0 - x
+
+
+def _gram_basis(x: np.ndarray, size: int) -> np.ndarray:
+    """T_j(2x - 1) for j < size, one row per point.  numpy.polynomial is
+    imported on first use, so that importing the package for the LP path
+    does not load it."""
+    from numpy.polynomial.chebyshev import chebvander
+    return chebvander(2.0 * x - 1.0, size - 1)
+
+
+def _rowdot(V: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v_k^T M v_k for every row v_k of V."""
+    return np.einsum("kj,kj->k", V @ M, V)
+
+
+def _nodal_bound(blocks, m: int, q_at_nodes: np.ndarray) -> float:
+    """Bound on max over [0, 1] of |q - sum_b mult_b v^T G_b v|, given q at
+    the nodes of degree m: the largest deviation at the nodes times the
+    Lebesgue-constant bound (2/pi) ln(m + 1) + 1, since the deviation is a
+    polynomial of degree at most m."""
+    x = _nodes(m)
+    gram = sum(mult * _rowdot(_gram_basis(x, len(G)), G)
+               for G, mult in zip(blocks, _multipliers(m, x)) if len(G))
+    lebesgue = 2.0 / np.pi * np.log(m + 1.0) + 1.0
+    return float(lebesgue * np.max(np.abs(q_at_nodes - gram)))
 
 
 def build_sos_problem(req: SolveRequest) -> SOSProblem:
-    H = bernstein_quotient_basis(req.rho, req.epsilon, req.d_v)
-    m = H.shape[0] - 1
     degrees = tuple(range(2, req.d_v + 1))
-    objective = np.array([1.0 / i for i in degrees])
+    m = (req.d_v - 1) * req.rho.degree - 1
     return SOSProblem(
-        degrees=degrees, h_matrix=H, alpha=req.alpha, q_degree=m,
-        gram_sizes=_gram_sizes(m), objective=objective,
+        degrees=degrees,
+        node_rows=_rows(req.rho, req.epsilon, req.d_v, _nodes(m)),
+        alpha=req.alpha, q_degree=m, gram_sizes=_gram_sizes(m),
+        objective=np.array([1.0 / i for i in degrees]),
         rho=req.rho, epsilon=req.epsilon,
     )
 
 
-# --- generic small block-diagonal SDP kernel ------------------------------
-
-
-def _contract(stacks, Ms) -> np.ndarray:
-    """Vector with entries sum_b <stacks_b[k], M_b>, one per stacked k."""
-    return sum(P.reshape(len(P), -1) @ M.ravel() for P, M in zip(stacks, Ms))
-
-
-@lru_cache(maxsize=None)
-def _svec_index(n: int):
-    """Upper-triangle indices (i, j) of an n x n symmetric matrix and the
-    weights (1 on the diagonal, sqrt 2 off it) that make svec an isometry."""
-    i, j = np.triu_indices(n)
-    index = (i, j, np.where(i == j, 1.0, np.sqrt(2.0)))
-    for a in index:
-        a.setflags(write=False)
-    return index
+# --- SDP kernel: rank-one Gram rows plus a nonnegative orthant ------------
 
 
 class _BlockSDP:
-    """min sum<C_b, X_b>  s.t.  sum_b <A_kb, X_b> = b_k,  X_b >= 0 (PSD).
+    """min c.x  s.t.  sum_b m_b * diag(V_b X_b V_b^T) + R x = b,
+    X_b >= 0 (PSD), x >= 0.
 
-    ``A`` holds one stacked (K, n_b, n_b) array of constraint matrices per
-    block.
+    Row k of block b is the rank-one matrix m_bk v_bk v_bk^T, v_bk row k
+    of V_b and m_b the vector ``mult[b]``; the Gram blocks carry no cost.
+    Iterates hold the Gram blocks followed by the orthant vector:
+    X = [X_1, .., X_B, x], likewise Z.
     """
 
-    def __init__(self, C, A, b):
-        self.C = [np.asarray(M, dtype=float) for M in C]
-        self.A = [np.asarray(M, dtype=float) for M in A]
-        self.b = np.asarray(b, dtype=float)
-        self.sizes = [M.shape[0] for M in self.C]
+    def __init__(self, V, mult, R, c, b):
+        self.V, self.mult, self.R, self.c, self.b = V, mult, R, c, b
+        self.weights = [np.outer(m, m) for m in mult]
+        self.sizes = [v.shape[1] for v in V] + [R.shape[1]]
 
     @staticmethod
     def _inner(Ms, Ns):
         return sum(np.sum(M * N) for M, N in zip(Ms, Ns))
 
     def _apply(self, X) -> np.ndarray:
-        return _contract(self.A, X)
+        *blocks, x = X
+        return sum(m * _rowdot(V, M) for V, m, M
+                   in zip(self.V, self.mult, blocks)) + self.R @ x
 
     def _adjoint(self, y):
-        return [(y @ A.reshape(y.size, -1)).reshape(A.shape[1:]) for A in self.A]
-
-    def _correction_factors(self, LX):
-        """B and the R factor of the QR factorization of B^T, where row k
-        of B holds svec(L^T A_k L) over all blocks, X = L L^T blockwise."""
-        rows = []
-        for L, A in zip(LX, self.A):
-            i, j, weight = _svec_index(L.shape[0])
-            rows.append((L.T @ A @ L)[:, i, j] * weight)
-        B = np.hstack(rows)
-        return B, np.linalg.qr(B.T, mode="r")
-
-    def _feasibility_correction(self, dX, rp, LX, factors):
-        """Adjust dX so A(dX) = rp holds to roundoff.
-
-        The Newton direction satisfies this only up to the (often huge)
-        condition number of the Schur system; without restoration the primal
-        residual stops contracting.  The adjustment is least-norm in the
-        X-scaled metric, L V L^T with V of least Frobenius norm, which keeps
-        it compatible with the cone: directions where X is nearly singular
-        are barely perturbed.  With (B, R) from ``_correction_factors``,
-        svec(V) = B^T w where R^T R w = r: two triangular solves and, with
-        the refinement rounds below, the corrected seminormal equations,
-        accurate to the conditioning of B.  Forming the normal equations
-        B B^T w = r instead squares that condition number, which near a
-        degenerate optimum ends the solve short of its tolerances in float64.
-        """
-        B, R = factors
-        for _ in range(3):
-            v = _solve(R, _solve(R.T, rp - self._apply(dX))) @ B
-            if not np.all(np.isfinite(v)):
-                break
-            out = []
-            for D, L in zip(dX, LX):
-                i, j, weight = _svec_index(L.shape[0])
-                V = np.zeros_like(D)
-                V[i, j] = V[j, i] = v[:i.size] / weight
-                out.append(D + L @ V @ L.T)
-                v = v[i.size:]
-            dX = out
-        return dX
+        return ([V.T @ ((m * y)[:, None] * V) for V, m in zip(self.V, self.mult)]
+                + [self.R.T @ y])
 
     @staticmethod
-    def _is_pd(Ms) -> bool:
+    def _interior(Ms) -> bool:
+        *blocks, x = Ms
         try:
-            for M in Ms:
+            for M in blocks:
                 np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             return False
-        return True
+        return bool(np.all(x > 0.0))
 
     @classmethod
     def _max_step(cls, X, Li, dX) -> float:
-        """Step a <= 1 keeping X + a*dX strictly positive definite, given
-        the inverse Cholesky factors Li of X's blocks."""
-        step = np.inf
-        for L, dM in zip(Li, dX):
-            W = L @ dM @ L.T
-            lam_min = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
-            if lam_min < 0.0:
-                step = min(step, -1.0 / lam_min)
+        """Step a <= 1 keeping X + a*dX strictly inside the cone, given the
+        inverse Cholesky factors Li of X's Gram blocks."""
+        lowest = [float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
+                  for W in (L @ dM @ L.T for L, dM in zip(Li, dX))]
+        lowest.append(float(np.min(dX[-1] / X[-1])))
+        step = min((-1.0 / v for v in lowest if v < 0.0), default=np.inf)
         a = min(1.0, 0.98 * step)
-        # Guard against roundoff at the PSD boundary.
-        while a > 1e-13 and not cls._is_pd(
+        # Guard against roundoff at the cone boundary.
+        while a > 1e-13 and not cls._interior(
                 [M + a * dM for M, dM in zip(X, dX)]):
             a *= 0.8
         return a if a > 1e-13 else 0.0
@@ -246,32 +204,51 @@ class _BlockSDP:
         when even a pure centering step is blocked at the cone boundary.
         Raises LinAlgError when an iterate fails to factor."""
         K = self.b.size
-        LX = [np.linalg.cholesky(M) for M in X]
-        LiX = [np.linalg.solve(L, np.eye(len(L))) for L in LX]
-        LiZ = [np.linalg.solve(np.linalg.cholesky(M), np.eye(len(M)))
-               for M in Z]
+        *Xg, x = X
+        *Zg, z = Z
+        *Rdg, rd = Rd
+        c, R = self.c, self.R
+        LiX = [np.linalg.solve(L, np.eye(len(L)))
+               for L in map(np.linalg.cholesky, Xg)]
+        LiZ = [np.linalg.solve(L, np.eye(len(L)))
+               for L in map(np.linalg.cholesky, Zg)]
         Zi = [L.T @ L for L in LiZ]
+        xz = x / z
 
-        # Schur system in (dy, dtau); entries are trace products with
-        # A_k, C symmetric so tr(P Zi Q X) = sum((Zi P) * (Q X)).
-        ZiA = [Zib @ A for Zib, A in zip(Zi, self.A)]
-        AX = [A @ Xb for A, Xb in zip(self.A, X)]
-        CX = [C @ Xb for C, Xb in zip(self.C, X)]
-        ZiC = [Zib @ C for Zib, C in zip(Zi, self.C)]
-        RdX = [R @ Xb for R, Xb in zip(Rd, X)]
+        # Schur system in (dy, dtau).  Its entries are tr(A_k Zi A_j X),
+        # which for the rank-one rows is m_k m_j (v_k^T Zi v_j)
+        # (v_j^T X v_k): a Hadamard product per block.
+        VZV = [V @ Zib @ V.T for V, Zib in zip(self.V, Zi)]
+        VXV = [V @ Xb @ V.T for V, Xb in zip(self.V, Xg)]
         S = np.zeros((K + 1, K + 1))
-        S[:K, :K] = sum(P.reshape(K, -1) @ Q.reshape(K, -1).T
-                        for P, Q in zip(ZiA, AX))
-        factors = self._correction_factors(LX)
-        u = _contract(ZiA, CX)
-        w = self._inner(ZiC, CX)
-        a0 = sum(np.einsum("kii->k", P) for P in ZiA)
-        qv = _contract(ZiA, RdX)
-        s_rd = self._inner(ZiC, RdX)
-        ctilde = self._inner(self.C, Zi)
+        S[:K, :K] = (sum(W * P * Q for W, P, Q in zip(self.weights, VZV, VXV))
+                     + (R * xz) @ R.T)
+        u = R @ (c * xz)
+        a0 = sum(m * np.diag(P) for m, P in zip(self.mult, VZV)) + R @ (1.0 / z)
+        qv = (sum(m * _rowdot(V, Zib @ Rb @ Xb) for V, m, Zib, Rb, Xb
+                  in zip(self.V, self.mult, Zi, Rdg, Xg)) + R @ (rd * xz))
+        s_rd = c @ (rd * xz)
+        ctilde = c @ (1.0 / z)
         S[:K, K] = -(u + self.b)
         S[K, :K] = self.b - u
-        S[K, K] = w + kappa / tau
+        S[K, K] = c @ (c * xz) + kappa / tau
+
+        # The Newton direction satisfies A(dX) = r only up to the condition
+        # number of the Schur system; without restoration the primal
+        # residual stops contracting.  One least-norm round in the
+        # X^(1/2)-scaled metric restores it: with P_b = X_b^(1/2),
+        # dX_b += P_b V_b^T diag(m_b w) V_b P_b and dx += x R^T w, where
+        # B B^T w is the residual and B B^T = sum_b (m_b m_b^T) o
+        # (V_b P_b V_b^T)^2 + R diag(x) R^T.  Scaling by X itself would
+        # square the eigenvalue spread of X, which reaches 1e-11 near an
+        # optimum, and the Cholesky factorization of B B^T would fail.
+        PVt = []
+        for V, Xb in zip(self.V, Xg):
+            theta, Q = np.linalg.eigh(Xb)
+            PVt.append((Q * np.sqrt(np.maximum(theta, 0.0))) @ (Q.T @ V.T))
+        BBt = (sum(W * np.square(V @ P) for W, V, P
+                   in zip(self.weights, self.V, PVt)) + (R * x) @ R.T)
+        LiB = np.linalg.solve(np.linalg.cholesky(BBt), np.eye(K))
 
         def directions(sigma, affine=None):
             om = 1.0 - sigma
@@ -285,21 +262,24 @@ class _BlockSDP:
             M, tk = [0.0] * len(X), 0.0
             if affine is not None:
                 dXa, dZa, dta, dka = affine
-                M = [Zib @ dZb @ dXb for Zib, dZb, dXb in zip(Zi, dZa, dXa)]
+                M = [Zib @ dZb @ dXb for Zib, dZb, dXb
+                     in zip(Zi, dZa, dXa)] + [dZa[-1] * dXa[-1] / z]
                 tk = dta * dka
-                r1 = r1 + _contract(self.A, M)
-                r2 = r2 - self._inner(self.C, M) - tk / tau
+                r1 = r1 + self._apply(M)
+                r2 = r2 - c @ M[-1] - tk / tau
             sol = _solve(S, np.append(r1, r2))
             dy, dtau = sol[:K], sol[K]
-            AtdY = self._adjoint(dy)
-            dZ = [dtau * C - Ab + om * R
-                  for C, Ab, R in zip(self.C, AtdY, Rd)]
+            dZ = [om * Rb - Ab for Rb, Ab in zip(Rd, self._adjoint(dy))]
+            dZ[-1] = dZ[-1] + dtau * c
             dX = []
-            for Zib, Xb, dZb, Mb in zip(Zi, X, dZ, M):
+            for Zib, Xb, dZb, Mb in zip(Zi, Xg, dZ, M):
                 D = smu * Zib - Xb - Zib @ dZb @ Xb - Mb
                 dX.append(0.5 * (D + D.T))
-            dX = self._feasibility_correction(
-                dX, om * rp + self.b * dtau, LX, factors)
+            dX.append(smu / z - x - dZ[-1] * xz - M[-1])
+            w = LiB.T @ (LiB @ (om * rp + self.b * dtau - self._apply(dX)))
+            for k, (P, m) in enumerate(zip(PVt, self.mult)):
+                dX[k] = dX[k] + (P * (m * w)) @ P.T
+            dX[-1] = dX[-1] + x * (R.T @ w)
             dkappa = (smu - tau * kappa - tk - kappa * dtau) / tau
             return dX, dy, dZ, dtau, dkappa
 
@@ -354,14 +334,14 @@ class _BlockSDP:
         """
         K = self.b.size
         n_total = sum(self.sizes) + 1
-        X = [np.eye(s) for s in self.sizes]
-        Z = [np.eye(s) for s in self.sizes]
+        X = [np.eye(s) for s in self.sizes[:-1]] + [np.ones(self.sizes[-1])]
+        Z = [M.copy() for M in X]
         y = np.zeros(K)
         tau = 1.0
         kappa = 1.0
 
         b_norm = 1.0 + float(np.linalg.norm(self.b))
-        c_norm = 1.0 + max(float(np.abs(M).max()) for M in self.C)
+        c_norm = 1.0 + float(np.abs(self.c).max())
         best = None
         best_rels = (np.inf, np.inf, np.inf)
         best_merit = np.inf
@@ -369,11 +349,11 @@ class _BlockSDP:
         failed = False
         it = 0
         for it in range(1, max_iters + 1):
-            cx = self._inner(self.C, X)
+            cx = self.c @ X[-1]
             by = self.b @ y
             rp = self.b * tau - self._apply(X)
-            AtY = self._adjoint(y)
-            Rd = [tau * C - Zb - Ab for C, Zb, Ab in zip(self.C, Z, AtY)]
+            Rd = [-Zb - Ab for Zb, Ab in zip(Z, self._adjoint(y))]
+            Rd[-1] = Rd[-1] + tau * self.c
             rg = kappa + cx - by
             gap = self._inner(X, Z)
             mu = (gap + tau * kappa) / n_total
@@ -391,8 +371,8 @@ class _BlockSDP:
                 stall += 1
             # Push two extra digits past the contractual tolerances while
             # progress lasts: the surplus absorbs the later clipping and
-            # renormalization of the lambda block.  The best iterate is
-            # graded against the contractual tolerances after the loop.
+            # renormalization of lambda.  The best iterate is graded
+            # against the contractual tolerances after the loop.
             if (rel_p <= 0.01 * feas_tol and rel_d <= 0.01 * dual_tol
                     and rel_g <= 0.01 * gap_tol):
                 break
@@ -422,21 +402,20 @@ class _BlockSDP:
 
 
 def _assemble(prob: SOSProblem) -> _BlockSDP:
-    """Blocks [G0, (G1), diag(lambda)]; rows: the m+1 Bernstein coefficient
-    matches R_l(G) + sum_i h_{i,l} lambda_i = alpha, then sum lambda = 1.
-
-    Every lambda-block matrix is diagonal, and X = Z = I starts the kernel
-    diagonal there, so its iterates stay exactly diagonal: the block acts as
-    a nonnegative orthant.
-    """
-    A = [np.concatenate([M, np.zeros((1,) + M.shape[1:])])
-         for M in _gram_maps(prob.q_degree)]
-    lam_rows = np.vstack([prob.h_matrix, np.ones(len(prob.degrees))])
-    A.append(lam_rows[:, :, None] * np.eye(len(prob.degrees)))
-    C = [np.zeros(M.shape[1:]) for M in A[:-1]] + [np.diag(-prob.objective)]
-    b = np.full(prob.q_degree + 2, prob.alpha)
+    """Blocks [G0, (G1)] and the orthant of lambda; rows: q matched at the
+    m + 1 nodes, sum_b mult_b(x_k) v(x_k)^T G_b v(x_k) + sum_i lambda_i
+    (g_i / x)(x_k) = alpha, then sum lambda = 1."""
+    m = prob.q_degree
+    x = _nodes(m)
+    V, mult = [], []
+    for size, values in zip(prob.gram_sizes, _multipliers(m, x)):
+        if size:
+            V.append(np.vstack([_gram_basis(x, size), np.zeros((1, size))]))
+            mult.append(np.append(values, 0.0))
+    R = np.vstack([prob.node_rows, np.ones(len(prob.degrees))])
+    b = np.full(m + 2, prob.alpha)
     b[-1] = 1.0
-    return _BlockSDP(C, A, b)
+    return _BlockSDP(V, mult, R, -prob.objective, b)
 
 
 def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
@@ -458,16 +437,16 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
     X, _, Z, iterations, status = sdp.solve(gap_tol=tol)
     # Drop the negligible entries first and normalize once, so the
     # returned lambda sums to 1 to roundoff.
-    lam = np.diag(X[-1]).copy()
+    lam = X[-1].copy()
     lam[lam <= 1e-12] = 0.0
     if lam.sum() > 0.0:
         lam /= lam.sum()
     lambda_coeffs = {d: float(c) for d, c in zip(prob.degrees, lam) if c > 0.0}
     blocks = tuple(X[:-1])
-    residual = np.abs(_gram_coeffs(prob.q_degree, blocks)
-                      - prob.slack_coeffs(lam))
+    residual = _nodal_bound(blocks, prob.q_degree,
+                            prob.alpha - prob.node_rows @ lam)
     cert = SOSCertificate(
-        gram_blocks=blocks, matching_residual=float(residual.max()),
+        gram_blocks=blocks, matching_residual=residual,
         min_eigenvalue=_min_eigenvalue(blocks))
     sol = SDPSolution(lambda_coeffs=lambda_coeffs,
                       objective=float(prob.objective @ lam),
@@ -477,16 +456,16 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
 
 
 def check_certificate(q, cert: SOSCertificate) -> float:
-    """Independent recheck: rebuild the polynomial implied by the Gram
-    blocks and interval multipliers, return the max deviation of its
-    Bernstein coefficients from those of q (a sequence of Bernstein
-    coefficients on [0, 1]).  (Eigenvalues are available via
+    """Independent recheck: a bound on max over [0, 1] of |q - q_G|, q_G
+    the polynomial implied by the Gram blocks and interval multipliers and
+    q given by Bernstein coefficients on [0, 1] of degree at most the
+    certified one.  q is evaluated at the certificate's nodes by de
+    Casteljau's algorithm.  (Eigenvalues are available via
     ``cert.min_eigenvalue`` or a fresh ``certificate_min_eigenvalue``.)"""
     G0 = cert.gram_blocks[0]
     s0 = G0.shape[0]
     s1 = cert.gram_blocks[1].shape[0] if len(cert.gram_blocks) > 1 else 0
-    # Infer the certified degree from the block shapes; q may be given at a
-    # lower degree, and is elevated to it.
+    # Infer the certified degree from the block shapes.
     if s1 == s0:
         m = 2 * s0 - 1
     elif s1 == s0 - 1:
@@ -498,8 +477,7 @@ def check_certificate(q, cert: SOSCertificate) -> float:
     if q.size - 1 > m:
         raise ValueError(
             f"polynomial degree {q.size - 1} exceeds certified degree {m}")
-    target = bernstein_elevate(q, m)
-    return float(np.max(np.abs(_gram_coeffs(m, cert.gram_blocks) - target)))
+    return _nodal_bound(cert.gram_blocks, m, bernstein_values(q, _nodes(m)))
 
 
 def _min_eigenvalue(blocks) -> float:

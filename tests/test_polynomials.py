@@ -1,6 +1,7 @@
 """Polynomial evaluation, the Bernstein builders, degree distributions, and
 rate computations."""
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -8,9 +9,8 @@ import pytest
 
 from ldpcdesign.polynomials import (
     BernsteinQuotientSum, ChannelSpec, DegreeDistribution, Polynomial,
-    bernstein_elevate, bernstein_halves, bernstein_quotient_basis,
-    bernstein_quotient_sum, bernstein_split, design_rate,
-    poly_from_edge_coeffs, rate_report)
+    bernstein_halves, bernstein_quotient_sum, bernstein_split,
+    bernstein_values, design_rate, poly_from_edge_coeffs, rate_report)
 
 X = Polynomial([0.0, 1.0])
 X3 = Polynomial([0.0, 0.0, 0.0, 1.0])
@@ -87,7 +87,7 @@ def test_compose_inner_epsilon_one_boundary():
 def test_compose_inner_constant_term_exactly_zero():
     rho = poly_from_edge_coeffs({3: 0.4, 11: 0.6})
     assert _inner_coeffs(rho, 0.347)[0] == 0.0
-    assert np.all(bernstein_quotient_basis(rho, 0.347, 4)[0, 1:] == 0.0)
+    assert np.all(_unit_columns(rho, 0.347, 4)[0, 1:] == 0.0)
 
 
 def test_compose_inner_rejects_unnormalized_rho():
@@ -95,7 +95,7 @@ def test_compose_inner_rejects_unnormalized_rho():
     with pytest.raises(ValueError, match="rho"):
         _inner_coeffs(rho, 0.3)
     with pytest.raises(ValueError, match="rho"):
-        bernstein_quotient_basis(rho, 0.3, 3)
+        bernstein_quotient_sum({3: 1.0}, rho, 0.3)
 
 
 def test_compose_inner_monotone():
@@ -119,26 +119,34 @@ def test_compose_inner_matches_direct_evaluation():
                            1.0 - rho(1.0 - eps * x), rtol=0.0, atol=1e-14)
 
 
-# --- the constraint basis g_i / x = f^(i-1) / x, in Bernstein coefficients
-# (bernstein_quotient_basis)
+# --- the constraint basis g_i / x = f^(i-1) / x, in Bernstein coefficients:
+# bernstein_quotient_sum at lambda = e_i
+
+
+def _unit_columns(rho, epsilon, d_v):
+    """Column i - 2: the Bernstein coefficients of g_i / x, i = 2..d_v, all
+    at the degree of top degree d_v (the d_v entry first, so that i = d_v
+    overrides it)."""
+    return np.column_stack([bernstein_quotient_sum({d_v: 0.0, i: 1.0}, rho, epsilon)
+                            for i in range(2, d_v + 1)])
 
 
 def test_constraint_basis_linear():
     # rho = x, epsilon = 0.5: g_2 / x = 0.5 and g_3 / x = 0.25 x, at degree 1.
-    H = bernstein_quotient_basis(X, 0.5, 3)
+    H = _unit_columns(X, 0.5, 3)
     assert np.allclose(H, [[0.5, 0.0], [0.5, 0.25]], rtol=0.0, atol=1e-16)
 
 
 def test_constraint_basis_base_case():
     # d_v = 2: the single column is f / x = 0.9 - 0.27 x + 0.027 x^2.
-    H = bernstein_quotient_basis(X3, 0.3, 2)
+    H = _unit_columns(X3, 0.3, 2)
     assert H.shape == (3, 1)
     assert np.allclose(H[:, 0], [0.9, 0.765, 0.657], rtol=0.0, atol=1e-15)
 
 
 def test_constraint_basis_rejects_small_dv():
     with pytest.raises(ValueError, match="d_v"):
-        bernstein_quotient_basis(X3, 0.3, 1)
+        BernsteinQuotientSum(X3, 1)
 
 
 def test_constraint_basis_ordering():
@@ -150,7 +158,7 @@ def test_constraint_basis_ordering():
     for rho_coeffs, epsilon, d_v in (({4: 1.0}, 0.3, 6),
                                      ({3: 0.4, 11: 0.6}, 0.347, 15),
                                      ({6: 1.0}, 1.0, 8)):
-        H = bernstein_quotient_basis(poly_from_edge_coeffs(rho_coeffs), epsilon, d_v)
+        H = _unit_columns(poly_from_edge_coeffs(rho_coeffs), epsilon, d_v)
         assert np.all(H[:, 1:] <= H[:, :-1] * (1.0 + 1e-15))
 
 
@@ -234,7 +242,7 @@ def test_poly_from_edge_coeffs():
 ])
 def test_bernstein_quotient_basis_matches_direct_evaluation(rho_coeffs, epsilon, d_v):
     rho = poly_from_edge_coeffs(rho_coeffs)
-    H = bernstein_quotient_basis(rho, epsilon, d_v)
+    H = _unit_columns(rho, epsilon, d_v)
     m = (d_v - 1) * rho.degree - 1
     assert H.shape == (m + 1, d_v - 1)
     assert np.all(H >= 0.0)
@@ -260,27 +268,36 @@ def test_bernstein_quotient_basis_matches_direct_evaluation(rho_coeffs, epsilon,
     ({5: 0.01834, 10: 0.98166}, 1.0, 9),
 ])
 def test_bernstein_quotient_basis_columns_are_unit_lambda_sums(rho_coeffs, epsilon, d_v):
-    # One builder: column i - 2 is the weighted sum at lambda = e_i with top
-    # degree d_v (the d_v entry first, so that i = d_v overrides it), and
-    # the last column is the vector feasibility_floor maximises.
+    # One builder: the unit-lambda sums of BernsteinQuotientSum, built once
+    # for a top degree d_v as the LP cut loop and the floor use it, are bit
+    # for bit those of bernstein_quotient_sum, and the last is the vector
+    # feasibility_floor maximises.
     rho = poly_from_edge_coeffs(rho_coeffs)
-    H = bernstein_quotient_basis(rho, epsilon, d_v)
+    quotient = BernsteinQuotientSum(rho, d_v)
+    f = quotient.scaled_inner(epsilon)
+    H = _unit_columns(rho, epsilon, d_v)
     for i in range(2, d_v + 1):
-        assert np.array_equal(H[:, i - 2],
-                              bernstein_quotient_sum({d_v: 0.0, i: 1.0}, rho, epsilon))
+        assert np.array_equal(quotient({i: 1.0}, f), H[:, i - 2])
     assert np.array_equal(H[:, -1], bernstein_quotient_sum({d_v: 1.0}, rho, epsilon))
 
 
 @pytest.mark.parametrize("n, degree", [(0, 3), (5, 5), (7, 30), (40, 139)])
 def test_bernstein_elevate_keeps_the_polynomial(n, degree):
+    # De Casteljau evaluation (bernstein_values) reads a polynomial the
+    # same at its own degree and elevated to a higher one, as
+    # sos.check_certificate does with a slack given below the certified
+    # degree.  The elevation, in exact rationals, is the reference.
     p = np.random.default_rng(n).uniform(-1.0, 1.0, n + 1)
-    q = bernstein_elevate(p, degree)
-    assert q.size == degree + 1
+    q = [float(sum(Fraction(p[k]) * comb(n, k) * comb(degree - n, j - k)
+                   for k in range(max(0, j - degree + n), min(n, j) + 1))
+               / comb(degree, j)) for j in range(degree + 1)]
     t = np.linspace(0.0, 1.0, 33)
-    assert np.allclose(_bernstein_values(q, t), _bernstein_values(p, t),
+    assert np.allclose(bernstein_values(q, t), bernstein_values(p, t),
+                       rtol=1e-12, atol=1e-13)
+    assert np.allclose(bernstein_values(p, t), _bernstein_values(p, t),
                        rtol=1e-12, atol=1e-13)
     # The end coefficients are values of the polynomial.
-    assert q[0] == p[0] and q[-1] == pytest.approx(p[-1], rel=1e-14)
+    assert bernstein_values(p, [0.0, 1.0]).tolist() == [p[0], p[-1]]
 
 
 def test_bernstein_quotient_sum_rejects_degree_beyond_float64():
@@ -295,7 +312,7 @@ def test_bernstein_builders_reject_epsilon_outside_unit_interval(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         bernstein_quotient_sum({3: 1.0}, rho, epsilon)
     with pytest.raises(ValueError, match="epsilon"):
-        bernstein_quotient_basis(rho, epsilon, 3)
+        BernsteinQuotientSum(rho, 3).scaled_inner(epsilon)
 
 
 def _bernstein_values(b, x):

@@ -10,7 +10,7 @@ from ldpcdesign import sos
 from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
 from ldpcdesign.polynomials import (
-    DegreeDistribution, poly_from_edge_coeffs, rate_and_gap)
+    DegreeDistribution, bernstein_quotient_sum, poly_from_edge_coeffs, rate_and_gap)
 from ldpcdesign.sos import (
     SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
     check_certificate, solve_sdp)
@@ -59,9 +59,11 @@ def _bernstein_matrix(n, xs):
 
 
 def _gram_values(G, xs):
-    """b(x)^T G b(x) at each point, b the Bernstein basis of degree s - 1."""
-    b = _bernstein_matrix(G.shape[0] - 1, xs)
-    return np.einsum("pj,jk,pk->p", b, G, b)
+    """v(x)^T G v(x) at each point, v the Chebyshev basis T_j(2x - 1) of
+    degree s - 1, by T_j(cos t) = cos(j t)."""
+    v = np.cos(np.arccos(np.clip(2.0 * xs - 1.0, -1.0, 1.0))[:, None]
+               * np.arange(G.shape[0]))
+    return np.einsum("pj,jk,pk->p", v, G, v)
 
 
 def _interval_sos_poly(m, G0, G1):
@@ -103,17 +105,21 @@ def test_problem_degree_bookkeeping():
 
 
 def test_problem_affine_constant_carries_alpha():
-    # q = alpha - sum_i lambda_i g_i / x in Bernstein coefficients: the
-    # constant alpha is alpha in every coefficient, and the end
-    # coefficients are the values at 0 and 1.
+    # q = alpha - sum_i lambda_i g_i / x at the m + 1 nodes: the constant
+    # alpha is alpha at every node, and the Chebyshev interpolant of the
+    # node values, in T_j(2x - 1), takes q's values at 0 and 1.
     prob = build_sos_problem(
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.7, d_v=6))
     assert prob.alpha == 0.7
-    assert np.array_equal(prob.slack_coeffs(np.zeros(5)), np.full(15, 0.7))
-    q = prob.slack_coeffs(np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+    assert prob.node_rows.shape == (15, 5)
+    assert np.array_equal(prob.alpha - prob.node_rows @ np.zeros(5), np.full(15, 0.7))
+    q = prob.alpha - prob.node_rows @ np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    t = 2.0 * sos._nodes(prob.q_degree) - 1.0
+    coeffs = np.polynomial.chebyshev.chebfit(t, q, prob.q_degree)
     # (g_2/x)(0) = 0.9 and (g_2/x)(1) = 1 - 0.7^3 for rho = x^3, eps = 0.3.
-    assert q[0] == pytest.approx(0.7 - 0.9, abs=1e-12)
-    assert q[-1] == pytest.approx(0.7 - (1.0 - 0.7 ** 3), abs=1e-12)
+    assert np.polynomial.chebyshev.chebval(-1.0, coeffs) == pytest.approx(0.7 - 0.9, abs=1e-12)
+    assert np.polynomial.chebyshev.chebval(1.0, coeffs) == pytest.approx(
+        0.7 - (1.0 - 0.7 ** 3), abs=1e-12)
 
 
 def test_solve_pinned_single_variable():
@@ -206,14 +212,15 @@ def test_solver_deterministic():
 
 
 def test_check_certificate_perfect_square():
-    G0 = np.array([[0.0, 0.0], [0.0, 1.0]])
+    # Over v = (1, t), t = 2x - 1: x^2 = (1 + t)^2 / 4.
+    G0 = np.array([[0.25, 0.25], [0.25, 0.25]])
     G1 = np.zeros((1, 1))
     cert = SOSCertificate(gram_blocks=(G0, G1), matching_residual=0.0,
                           min_eigenvalue=0.0)
     q = [0.0, 0.0, 1.0]  # x^2 in the Bernstein basis of degree 2
     assert check_certificate(q, cert) == pytest.approx(0.0, abs=1e-15)
-    # q given at a lower degree is elevated: x = [0, 1] at degree 1.
-    G0 = np.array([[0.0, 0.5], [0.5, 1.0]])  # (1-x)x + x^2 = x
+    # q may be given at a lower degree: x = [0, 1] at degree 1.
+    G0 = np.array([[0.5, 0.25], [0.25, 0.0]])  # 1/2 + t/2 = x
     cert = SOSCertificate(gram_blocks=(G0, G1), matching_residual=0.0,
                           min_eigenvalue=0.0)
     assert check_certificate([0.0, 1.0], cert) == pytest.approx(0.0, abs=1e-15)
@@ -240,10 +247,8 @@ def test_check_certificate_dimension_mismatch():
 
 def test_check_certificate_detects_perturbation():
     req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)
-    prob = build_sos_problem(req)
-    sol, cert = solve_sdp(prob)
-    lam = np.array([sol.lambda_coeffs.get(i, 0.0) for i in prob.degrees])
-    q = prob.slack_coeffs(lam)
+    sol, cert = solve_sdp(build_sos_problem(req))
+    q = 0.5 - bernstein_quotient_sum(sol.lambda_coeffs, RHO_X3, 0.3)
     assert check_certificate(q, cert) <= 1e-8
     G0 = cert.gram_blocks[0].copy()
     G0[1, 1] += 1e-3
@@ -338,3 +343,44 @@ def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
     assert calls[0] > fail_after
     assert sol.status in ("numerical-failure", "iteration-limit")
     assert cert is not None
+
+
+def test_high_degree_design_matches_lp_path():
+    # rho = x^10, d_v = 20: q has degree m = 189, 191 rows and two Gram
+    # blocks of size 95.
+    rho = poly_from_edge_coeffs({11: 1.0})
+    alpha = feasibility_floor(rho, 0.3, 20) + 0.1
+    req = SolveRequest(rho=rho, epsilon=0.3, alpha=alpha, d_v=20)
+    prob = build_sos_problem(req)
+    assert prob.q_degree == 189
+    sol, cert = solve_sdp(prob)
+    assert sol.status == "optimal"
+    lp_res = solve_semi_infinite(req)
+    lp_objective = sum(c / i for i, c in lp_res.lambda_coeffs.items())
+    assert sol.objective == pytest.approx(lp_objective, abs=1e-8)
+    q = alpha - bernstein_quotient_sum(sol.lambda_coeffs, rho, 0.3)
+    assert check_certificate(q, cert) <= 1e-8
+
+
+def test_check_certificate_bounds_the_deviation_on_the_interval():
+    # The value returned is a bound on sup |q - sum sigma| over [0, 1], not
+    # only at the nodes: it covers a 10 000-point grid, both ends included.
+    d_c, d_v, epsilon, alpha = HARD_DESIGNS[0]
+    sol, cert = _solve_design(d_c, d_v, epsilon, alpha)
+    rho = poly_from_edge_coeffs({d_c: 1.0})
+    q = alpha - bernstein_quotient_sum(sol.lambda_coeffs, rho, epsilon)
+    assert check_certificate(q, cert) <= 1e-8
+    m = q.size - 1
+    assert m == 71
+    xs = np.linspace(0.0, 1.0, 10_000)
+    for j, k, delta in ((1, 1, 1e-3), (3, 17, 1e-6), (35, 35, -1e-7)):
+        G0 = cert.gram_blocks[0].copy()
+        G0[j, k] += delta
+        G0[k, j] = G0[j, k]
+        bad = SOSCertificate(gram_blocks=(G0,) + cert.gram_blocks[1:],
+                             matching_residual=0.0, min_eigenvalue=0.0)
+        gram = (xs * _gram_values(G0, xs)
+                + (1.0 - xs) * _gram_values(cert.gram_blocks[1], xs))
+        deviation = np.max(np.abs(_bernstein_matrix(m, xs) @ q - gram))
+        assert deviation >= 0.5 * abs(delta)
+        assert check_certificate(q, bad) >= deviation
