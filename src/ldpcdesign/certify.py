@@ -22,7 +22,8 @@ built from nonnegative sums, with one de Casteljau subdivision loop:
   ``min_slack`` column.
 - ``feasibility_floor`` is the smallest feasible alpha; both solver paths
   (``lp.solve_semi_infinite``, ``sos.solve_sdp``) take their infeasibility
-  test from it.
+  test from it, the LP loop through ``_floor`` on the Bernstein setup it
+  certifies with.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .polynomials import (
-    Polynomial, bernstein_halves, bernstein_quotient_sum, bernstein_split)
+    BernsteinQuotientSum, Polynomial, bernstein_halves, bernstein_quotient_sum,
+    bernstein_split)
 
 # min_slack >= -FEASIBILITY_TOL counts as feasible; solver outputs carry
 # float rounding and the DE simulator re-checks behaviour independently.
@@ -180,5 +182,15 @@ def feasibility_floor(rho: Polynomial, epsilon: float, d_v: int) -> float:
     FLOOR_TOL of the maximum unless a subdivision cap ends the search
     first.  Both solver paths take their infeasibility test from it.
     """
-    h = bernstein_quotient_sum({d_v: 1.0}, rho, epsilon)
-    return -_minimum(-h, bernstein_halves(h.size - 1))[0]
+    quotient = BernsteinQuotientSum(rho, d_v)
+    return _floor(quotient, quotient.scaled_inner(epsilon), bernstein_halves(quotient.degree))
+
+
+def _floor(quotient: BernsteinQuotientSum, scaled_inner: np.ndarray,
+           halves: np.ndarray) -> float:
+    """``feasibility_floor`` from a solve's own Bernstein setup: the
+    ``quotient`` of its rho and d_v, f's ``scaled_inner`` coefficients at its
+    epsilon and the ``halves`` of degree ``quotient.degree``.  The LP cut
+    loop, which certifies with the same three, calls it directly."""
+    h = quotient({quotient.d_v: 1.0}, scaled_inner)
+    return -_minimum(-h, halves)[0]

@@ -15,16 +15,18 @@ again, until the certifier accepts.
   so a returned lambda is feasible, not within tolerance of feasible, but
   never below the row's value at all mass on d_v, so every alpha past the
   feasibility floor leaves the grid LP feasible.
-- Kernel: a dense tableau simplex.  The first LP is solved cold in two
-  phases; each cut becomes one new row of the live tableau, written in the
-  current basis, and dual simplex pivots restore feasibility before a
+- Kernel: a dense tableau simplex.  The first LP starts from the basis
+  with all mass on d_v, which the back-off makes feasible, so it needs no
+  phase 1; each cut becomes one new row of the live tableau, written in
+  the current basis, and dual simplex pivots restore feasibility before a
   primal clean-up.  Pricing is Dantzig's rule, with Bland's rule after a
-  run of degenerate pivots.
+  run of degenerate pivots.  A basic solution off the simplex by more
+  than _SIMPLEX_TOL ends the loop as ``numerical-failure``.
 - Certifier: the branch and bound of ``certify.bernstein_margin`` on the
   Bernstein coefficients of the slack (``BernsteinQuotientSum``), whose
   parts independent of lambda, and the split maps, are built once per
-  solve.  A cut that repeats a grid point ends the loop as
-  ``iteration-limit``.
+  solve; the feasibility floor is taken from the same setup.  A cut that
+  repeats a grid point ends the loop as ``iteration-limit``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _MAX_PIVOTS = 200_000
 # until a pivot makes progress; Bland's rule cannot cycle.
 _DEGENERATE_RUN = 50
 _BLOCK_ENTRIES = 32_768  # 256 KB of float64 per pivot-update temporary
+# A basic lambda must sum to 1 and be nonnegative to this before it is
+# clipped, renormalised and certified.
+_SIMPLEX_TOL = 1e-9
 
 
 def chebyshev_grid(n: int = DEFAULT_GRID_SIZE) -> np.ndarray:
@@ -109,7 +114,9 @@ class OptimizationResult:
     rate: float | None
     gap: float | None
     margin: certify.MarginReport | None
-    status: str  # optimal | infeasible | iteration-limit
+    # optimal | infeasible | iteration-limit | numerical-failure (the LP's
+    # basic lambda is off the simplex by more than _SIMPLEX_TOL)
+    status: str
     solver_iterations: int  # LP solves: the cold one plus one per cut
     cuts_added: int
 
@@ -263,7 +270,9 @@ class _SimplexState:
 
 def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     """Cold two-phase primal simplex on lp, as a minimisation of -c.x.
-    Returns the final tableau and optimal|infeasible|unbounded."""
+    Returns the final tableau and optimal|infeasible|unbounded.  The kernel
+    of ``simplex_solve``; the cut loop starts from ``_top_degree_start``
+    instead."""
     n = lp.c.size
     m1, m2 = lp.b.size, lp.d.size
     m = m1 + m2
@@ -330,14 +339,35 @@ def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     return state, state.run(phase2, blocked=art_set)
 
 
+def _top_degree_start(lp: LPStandardForm) -> tuple[_SimplexState, str]:
+    """Primal simplex, as a minimisation of -c.x, on a grid LP built by
+    ``_lp`` with b >= A[:, -1], from the basis with all mass on d_v: the
+    last variable basic in the row sum lambda = 1, each slack in its own
+    row.  There inequality row k reads [A_k - A_k,-1 1^T | e_k | b_k -
+    A_k,-1] and the equality row [1^T | 0 | 1], feasible as b >= A[:, -1]:
+    no phase 1, no artificial column.  Returns the final tableau and
+    optimal|unbounded."""
+    m, n = lp.A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = lp.A - lp.A[:, -1:]
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = lp.b - lp.A[:, -1]
+    T[m, :n] = 1.0
+    T[m, -1] = 1.0
+    state = _SimplexState(T, np.append(np.arange(n, n + m), n - 1))
+    cost = np.zeros(n + m + 1)
+    cost[:n] = -lp.c
+    return state, state.run(cost, blocked=set())
+
+
 def simplex_solve(lp: LPStandardForm):
     """Two-phase primal simplex, Dantzig pricing with a Bland fallback.
 
     Returns (values, objective, status) with status in
     {optimal, infeasible, unbounded}.  The kernel on general LPs: it serves
     acceptance criteria 7 and 8 and the benchmark's tracer
-    (``bench/tracing.py``); ``solve_semi_infinite`` drives the same
-    ``_two_phase`` and ``_SimplexState`` directly.
+    (``bench/tracing.py``).  ``solve_semi_infinite`` drives
+    ``_SimplexState`` from ``_top_degree_start`` instead.
     """
     state, status = _two_phase(lp)
     if status == "infeasible":
@@ -356,10 +386,10 @@ def _result(req: SolveRequest, lam: np.ndarray, margin: certify.MarginReport,
     )
 
 
-def _infeasible(lp_solves: int = 0, cuts: int = 0) -> OptimizationResult:
+def _no_design(status: str, lp_solves: int = 0, cuts: int = 0) -> OptimizationResult:
     return OptimizationResult(
         lambda_coeffs={}, rate=None, gap=None, margin=None,
-        status="infeasible", solver_iterations=lp_solves, cuts_added=cuts,
+        status=status, solver_iterations=lp_solves, cuts_added=cuts,
     )
 
 
@@ -371,20 +401,23 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     ``BernsteinQuotientSum`` does."""
     rho, epsilon, d_v, alpha = req.rho, req.epsilon, req.d_v, req.alpha
     quotient = BernsteinQuotientSum(rho, d_v)
-    if alpha < certify.feasibility_floor(rho, epsilon, d_v) - certify.FEASIBILITY_TOL:
-        return _infeasible()
     f = quotient.scaled_inner(epsilon)
     halves = bernstein_halves(quotient.degree)
+    if alpha < certify._floor(quotient, f, halves) - certify.FEASIBILITY_TOL:
+        return _no_design("infeasible")
 
     x = np.concatenate([[0.0], req.grid])
     A = _rows(rho, epsilon, d_v, x)
     backed_off = alpha - 0.5 * req.tol
-    state, status = _two_phase(_lp(A, np.maximum(backed_off, A[:, -1])))
+    state, status = _top_degree_start(_lp(A, np.maximum(backed_off, A[:, -1])))
     degrees = range(2, d_v + 1)
     for cuts in range(MAX_CUTS + 1):
         if status != "optimal":
-            return _infeasible(cuts + 1, cuts)
-        lam = np.clip(state.values(d_v - 1), 0.0, None)
+            return _no_design("infeasible", cuts + 1, cuts)
+        lam = state.values(d_v - 1)
+        if abs(lam.sum() - 1.0) > _SIMPLEX_TOL or lam.min() < -_SIMPLEX_TOL:
+            return _no_design("numerical-failure", cuts + 1, cuts)
+        lam = np.clip(lam, 0.0, None)
         lam /= lam.sum()
         margin = certify.bernstein_margin(alpha - quotient(dict(zip(degrees, lam)), f), halves)
         if margin.min_slack >= -req.tol:

@@ -256,11 +256,11 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
     # Every cut is added to the live tableau; after each one the warm
     # optimum equals a cold two-phase solve of the whole grid so far.
     first, cuts = [], []
-    two_phase, add_row = lp._two_phase, _SimplexState.add_row
+    top_degree_start, add_row = lp._top_degree_start, _SimplexState.add_row
 
     def record_first(problem):
         first.append(problem)
-        return two_phase(problem)
+        return top_degree_start(problem)
 
     def record_cut(state, a, rhs):
         status = add_row(state, a, rhs)
@@ -268,7 +268,7 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
         cuts.append((a, rhs, status, float(first[0].c @ values)))
         return status
 
-    monkeypatch.setattr(lp, "_two_phase", record_first)
+    monkeypatch.setattr(lp, "_top_degree_start", record_first)
     monkeypatch.setattr(_SimplexState, "add_row", record_cut)
     res = solve_semi_infinite(SolveRequest(
         rho=poly_from_edge_coeffs({6: 1.0}), epsilon=0.4667, alpha=0.8731, d_v=13))
@@ -282,6 +282,78 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
             E=base.E, d=base.d))
         assert status == cuts[k - 1][2] == "optimal"
         assert cuts[k - 1][3] == pytest.approx(cold, abs=1e-12)
+
+
+def _grid_lp(rho, epsilon, d_v, alpha, tol=1e-9):
+    """The first LP of the cut loop: the limit row and the default grid,
+    with the rhs backed off by tol / 2 but never below all mass on d_v."""
+    A = lp._rows(rho, epsilon, d_v, np.concatenate([[0.0], chebyshev_grid()]))
+    return lp._lp(A, np.maximum(alpha - 0.5 * tol, A[:, -1]))
+
+
+def _top_degree_panel():
+    """(rho, epsilon, d_v, alpha): d_v = 2; alpha at the floor, where the
+    row at the maximum is clamped to all mass on d_v and the start is
+    degenerate, and 1e-9 above it; the sweep's alpha = 0.9 vertex; the
+    irregular rho of the SOS near-floor panel; lp-stress-style random
+    designs."""
+    panel = [(RHO_X3, 0.3, 2, 0.9)]
+    rho = poly_from_edge_coeffs({8: 1.0})
+    floor = feasibility_floor(rho, 0.1984, 11)
+    panel += [(rho, 0.1984, 11, floor), (rho, 0.1984, 11, floor + 1e-9)]
+    panel.append((RHO_X3, 0.3, 6, 0.9))
+    for rho_map, epsilon, d_v in (
+            ({6: 0.07759422793351788, 11: 0.9224057720664821}, 0.28351909875611425, 5),
+            ({5: 0.7358855802517966, 8: 0.2641144197482034}, 0.5610073214383534, 7)):
+        rho = poly_from_edge_coeffs(rho_map)
+        floor = feasibility_floor(rho, epsilon, d_v)
+        panel.append((rho, epsilon, d_v, floor + 0.5 * (1.0 - floor)))
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        d_c, d_v = int(rng.integers(3, 9)), int(rng.integers(3, 16))
+        epsilon = float(rng.uniform(0.05, 0.6))
+        rho = poly_from_edge_coeffs({d_c: 1.0})
+        floor = min(feasibility_floor(rho, epsilon, d_v), 1.0)
+        panel.append((rho, epsilon, d_v, floor + float(rng.uniform()) * (1.0 - floor)))
+    return panel
+
+
+def test_top_degree_start_matches_two_phase():
+    # The cold start from all mass on d_v needs no phase 1: it reaches the
+    # two-phase optimum of the same grid LP in fewer pivots over the panel.
+    top_pivots = two_phase_pivots = 0
+    for rho, epsilon, d_v, alpha in _top_degree_panel():
+        problem = _grid_lp(rho, epsilon, d_v, alpha)
+        state, status = lp._top_degree_start(problem)
+        two_phase, two_phase_status = lp._two_phase(problem)
+        assert status == two_phase_status == "optimal"
+        values = state.values(problem.c.size)
+        assert float(problem.c @ values) == pytest.approx(
+            float(problem.c @ two_phase.values(problem.c.size)), abs=1e-12)
+        if d_v == 2:
+            assert state.pivots == 0 and values.tolist() == [1.0]
+        top_pivots += state.pivots
+        two_phase_pivots += two_phase.pivots
+    assert top_pivots < two_phase_pivots
+
+
+def test_basic_solution_off_the_simplex_is_a_numerical_failure(monkeypatch):
+    # The loop checks the basic lambda before clipping and renormalising
+    # it: a corrupted rhs of a structural basic row is reported, not
+    # certified.
+    top_degree_start = lp._top_degree_start
+
+    def corrupted(problem):
+        state, status = top_degree_start(problem)
+        row = int(np.flatnonzero(state.basis < problem.c.size)[0])
+        state.T[row, -1] += 1e-6
+        return state, status
+
+    monkeypatch.setattr(lp, "_top_degree_start", corrupted)
+    res = solve_semi_infinite(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.9, d_v=6))
+    assert res.status == "numerical-failure"
+    assert res.lambda_coeffs == {} and res.rate is None
+    assert res.solver_iterations == 1 and res.cuts_added == 0
 
 
 def test_bland_fallback_ends_beale_cycle():
