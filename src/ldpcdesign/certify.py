@@ -13,8 +13,9 @@ All certifiers work on Bernstein coefficients on [0, 1]
 (``polynomials.bernstein_quotient_sum`` and ``BernsteinQuotientSum``),
 built from nonnegative sums, with one de Casteljau subdivision loop:
 
-- ``proves_positive`` answers whether the slack is positive; the threshold
-  search (``desim.threshold``) asks it at alpha = 1.
+- ``_minimum`` is the branch and bound under the two below; the decoding
+  threshold (``desim.threshold``) is one over the maximum it finds of
+  sum_i lambda_i g_i(x) / x at epsilon = 1, in closed form.
 - ``bernstein_margin`` bounds the minimum of the slack and locates it; the
   LP cut loop (``lp.solve_semi_infinite``) certifies every candidate lambda
   and picks its cuts with it, and ``min_normalized_slack`` wraps it for the
@@ -79,17 +80,17 @@ def min_normalized_slack(
 
 
 def _subdivide(coeffs: np.ndarray, halves: np.ndarray,
-               open_pieces: Callable[[np.ndarray, np.ndarray, float], np.ndarray | None]
-               ) -> np.ndarray | None:
+               open_pieces: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+               ) -> np.ndarray:
     """Breadth-first de Casteljau subdivision of the Bernstein coefficients
     ``coeffs`` on [0, 1].  At each level ``open_pieces(pieces, lefts,
     width)`` takes the stacked pieces, the left ends of their intervals and
     the intervals' common width, and returns a boolean mask of the pieces
-    still to be split, or None to stop the search; those are split at their
-    midpoints by ``halves`` (``bernstein_halves`` of the same degree).
-    Returns None, an empty stack once every piece is settled, or the open
-    pieces left when a cap ends the loop (MAX_SPLIT_DEPTH splits, or a split
-    that would hold more than MAX_PIECES pieces).
+    still to be split; those are split at their midpoints by ``halves``
+    (``bernstein_halves`` of the same degree).  Returns an empty stack once
+    every piece is settled, or the open pieces left when a cap ends the loop
+    (MAX_SPLIT_DEPTH splits, or a split that would hold more than MAX_PIECES
+    pieces).
     """
     pieces = np.asarray(coeffs, dtype=float)[None, :]
     lefts = np.zeros(1)
@@ -97,8 +98,6 @@ def _subdivide(coeffs: np.ndarray, halves: np.ndarray,
     depth = 0
     while True:
         keep = open_pieces(pieces, lefts, width)
-        if keep is None:
-            return None
         pieces, lefts = pieces[keep], lefts[keep]
         if not pieces.size or depth == MAX_SPLIT_DEPTH or 2 * len(pieces) > MAX_PIECES:
             return pieces
@@ -107,25 +106,6 @@ def _subdivide(coeffs: np.ndarray, halves: np.ndarray,
         lefts = np.repeat(lefts, 2)
         lefts[1::2] += width
         depth += 1
-
-
-def proves_positive(coeffs: np.ndarray, halves: np.ndarray) -> bool:
-    """True only when the polynomial with Bernstein coefficients ``coeffs``
-    on [0, 1] is proved positive on all of [0, 1].
-
-    All coefficients of a piece > 0 prove it positive there; an end
-    coefficient <= 0 is the value at an end of the piece and refutes.
-    Otherwise every unproved piece is split at its midpoint by ``halves``
-    (``bernstein_halves`` of the same degree), breadth first.  Hitting
-    MAX_SPLIT_DEPTH or MAX_PIECES answers False: not proved.
-    """
-    def unproved(pieces: np.ndarray, lefts: np.ndarray, width: float) -> np.ndarray | None:
-        if not (pieces[:, 0].min() > 0.0 and pieces[:, -1].min() > 0.0):
-            return None
-        return ~(pieces.min(axis=1) > 0.0)
-
-    left = _subdivide(coeffs, halves, unproved)
-    return left is not None and not left.size
 
 
 def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, float]:

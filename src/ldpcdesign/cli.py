@@ -71,14 +71,17 @@ def _print_solution(lam: dict, rho: Polynomial, epsilon: float, alpha: float):
 
 def cmd_optimize(args) -> int:
     req = _solve_request(args)
+    reason = None
     if args.solver == "sdp":
         sol, _ = solve_sdp(build_sos_problem(req))
-        status, lam = sol.status, sol.lambda_coeffs
+        status, lam, reason = sol.status, sol.lambda_coeffs, sol.reason
     else:
         res = solve_semi_infinite(req)
         status, lam = res.status, res.lambda_coeffs
     if status != "optimal":
         print(f"status = {status}")
+        if reason:
+            print(f"reason = {reason}")
         return EXIT_INFEASIBLE
     print(f"status = optimal ({args.solver})")
     _print_solution(lam, req.rho, req.epsilon, req.alpha)
@@ -160,6 +163,7 @@ def cmd_certify_sos(args) -> int:
     sol, cert = solve_sdp(prob)
     if sol.status != "optimal" or cert is None:
         print(f"status = {sol.status}")
+        print(f"reason = {sol.reason}")
         return EXIT_INFEASIBLE
     # Independent recheck: rebuild q from the returned lambda in Bernstein
     # coefficients, apart from the solver's node rows, and bound its
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("threshold", help="decoding-threshold bisection")
+    p = sub.add_parser("threshold", help="decoding threshold in closed form by branch and bound")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--tol", type=float, default=1e-4)

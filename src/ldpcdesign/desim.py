@@ -1,17 +1,17 @@
 """Density-evolution simulator for the binary erasure channel.
 
 Implements the exact deterministic recursion y' = epsilon * lambda(1 -
-rho(1 - y)) on erasure probabilities, convergence traces, a threshold
-bisection, and the empirical contraction factor that makes the
-fast-convergence guarantee observable.
+rho(1 - y)) on erasure probabilities, convergence traces, the threshold in
+closed form by branch and bound, and the empirical contraction factor that
+makes the fast-convergence guarantee observable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certify import proves_positive
-from .polynomials import BernsteinQuotientSum, DegreeDistribution, bernstein_halves
+from .certify import FLOOR_TOL, _minimum
+from .polynomials import DegreeDistribution, bernstein_halves, bernstein_quotient_sum
 
 DEFAULT_TARGET = 1e-6
 DEFAULT_MAX_ITERS = 10_000
@@ -93,33 +93,27 @@ def empirical_contraction(trace: DETrace) -> float:
 
 
 def threshold(dist: DegreeDistribution, tol: float) -> ThresholdResult:
-    """Bisection estimate of the largest epsilon for which DE converges.
+    """The largest epsilon for which DE converges, in closed form.
 
-    DE converges at epsilon when the slack s(x) = 1 - sum_i lambda_i
-    f(x)^(i-1) / x, f(x) = 1 - rho(1 - epsilon x), is positive on [0, 1].
-    Each candidate epsilon is decided by a proof on the Bernstein
-    coefficients of s (``certify.proves_positive``), not by trace
-    truncation, which misclassifies near-threshold channels.  An epsilon
-    the subdivision caps leave unsettled counts as not converging, so the
-    estimate errs low.
+    DE converges at epsilon when the slack 1 - epsilon g(epsilon x) is
+    positive on [0, 1], g(y) = lambda(1 - rho(1 - y)) / y.  g does not
+    depend on epsilon and g(1) = 1, so its maximum M over [0, 1] is at
+    least 1 and the threshold is 1 / M: below it epsilon g < 1, above it
+    the slack is negative at x = y0 / epsilon, y0 <= 1 / M the argmax.
+    g's Bernstein coefficients are those of sum_i lambda_i f^(i-1) / x at
+    epsilon = 1 (the first is the x -> 0 value lambda_2 rho'(1)), and the
+    branch and bound of ``certify._minimum`` on -g brackets M.  The result
+    is the midpoint of the proved interval of 1 / M, or its lower end where
+    a subdivision cap leaves the interval wider than ``tol``, so the
+    estimate errs low; ``bracket_width`` is the interval's width.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lam = dist.lambda_coeffs
-    # Only f depends on epsilon, so the binomial rows and the split maps are
-    # built once; ``BernsteinQuotientSum`` rejects a degree too high for
-    # float64 before either is built.
-    quotient = BernsteinQuotientSum(dist.rho_polynomial(), max(lam))
-    halves = bernstein_halves(quotient.degree)
-
-    def converges(eps: float) -> bool:
-        return proves_positive(1.0 - quotient(lam, quotient.scaled_inner(eps)), halves)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(threshold=0.5 * (lo + hi), bracket_width=hi - lo)
+    # A degree too high for float64 is refused here, before the split maps
+    # are built.
+    g = bernstein_quotient_sum(dist.lambda_coeffs, dist.rho_polynomial(), 1.0)
+    value, _, bound = _minimum(-g, bernstein_halves(g.size - 1))
+    lo, hi = 1.0 / (FLOOR_TOL - bound), -1.0 / value
+    width = hi - lo
+    return ThresholdResult(threshold=lo if width > tol else 0.5 * (lo + hi),
+                           bracket_width=width)

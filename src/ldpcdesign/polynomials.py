@@ -5,7 +5,7 @@ holds the degree distributions parsed from user input and serves their
 evaluation (density evolution, the directly evaluated LP rows), the
 derivative (the x -> 0 LP row) and the integral over [0, 1] (the rate).
 Every certifier (the LP cut loop's, the CLI and sweep margins, the
-threshold search, the feasibility floor and the SOS certificate check)
+decoding threshold, the feasibility floor and the SOS certificate check)
 works instead in Bernstein coefficients on [0, 1], all built by
 ``BernsteinQuotientSum`` from nonnegative sums only
 (``bernstein_quotient_sum``), and evaluates or splits them by de
@@ -241,10 +241,9 @@ class BernsteinQuotientSum:
     lambda over degrees 2..d_v and those coefficients gives the Bernstein
     coefficients of sum_i lambda_i f^(i-1) / x at degree ``degree`` = m,
     bit for bit those of ``bernstein_quotient_sum``.  The LP cut loop
-    varies lambda at one epsilon, the threshold search epsilon at one
-    lambda.  Raises ValueError where the scaled coefficients, which reach
-    C(m, m/2), overflow float64 (m above about 1000), before anything of
-    size m is built.
+    varies lambda at one epsilon.  Raises ValueError where the scaled
+    coefficients, which reach C(m, m/2), overflow float64 (m above about
+    1000), before anything of size m is built.
     """
 
     def __init__(self, rho: Polynomial, d_v: int):

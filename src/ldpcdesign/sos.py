@@ -85,6 +85,11 @@ class SDPSolution:
     # iteration-limit (also an infeasible alpha that passed the floor) |
     # numerical-failure
     status: str
+    # The stop that ended the solve: converged | blocked-step | stall |
+    # tau-collapse | iteration-cap | factorization, or below-floor with no
+    # solve.  A stop short of convergence is optimal when its best iterate
+    # meets the tolerances.
+    reason: str
 
 
 def _gram_sizes(m: int) -> tuple[int, int]:
@@ -324,9 +329,9 @@ class _BlockSDP:
         interior start and infeasibility shows up as tau -> 0 rather than
         as a divergent iterate; that stop is reported as
         ``iteration-limit``.  Returns the de-homogenized (X, y, Z) of
-        the best iterate seen, the iteration count and the status.  A
-        factorization that fails on an iterate ends the loop; it never
-        raises.
+        the best iterate seen, the iteration count, the status and the
+        reason the loop stopped (``SDPSolution.reason``).  A factorization
+        that fails on an iterate ends the loop; it never raises.
 
         The dual residual gets a looser tolerance than the primal one: it
         only backs the duality-gap bound on the reported objective, while
@@ -346,7 +351,7 @@ class _BlockSDP:
         best_rels = (np.inf, np.inf, np.inf)
         best_merit = np.inf
         stall = 0
-        failed = False
+        reason = "iteration-cap"
         it = 0
         for it in range(1, max_iters + 1):
             cx = self.c @ X[-1]
@@ -375,27 +380,35 @@ class _BlockSDP:
             # against the contractual tolerances after the loop.
             if (rel_p <= 0.01 * feas_tol and rel_d <= 0.01 * dual_tol
                     and rel_g <= 0.01 * gap_tol):
+                reason = "converged"
                 break
-            if tau <= 1e-9 * max(1.0, kappa) or stall >= 30:
+            if tau <= 1e-9 * max(1.0, kappa):
+                reason = "tau-collapse"
+                break
+            if stall >= 30:
+                reason = "stall"
                 break
             try:
                 step = self._newton_step(X, y, Z, tau, kappa, rp, Rd, rg,
                                          cx, gap, mu)
             except np.linalg.LinAlgError:
-                failed = True
+                reason = "factorization"
                 break
             if step is None:
+                reason = "blocked-step"
                 break
             X, y, Z, tau, kappa = step
         if (best_rels[0] <= feas_tol and best_rels[1] <= dual_tol
                 and best_rels[2] <= gap_tol):
             status = "optimal"
+        elif reason == "factorization":
+            status = "numerical-failure"
         else:
-            status = "numerical-failure" if failed else "iteration-limit"
+            status = "iteration-limit"
         if best is None:
             best = ([M / tau for M in X], y / tau, [M / tau for M in Z])
         Xb, yb, Zb = best
-        return Xb, yb, Zb, it, status
+        return Xb, yb, Zb, it, status, reason
 
 
 # --- assembling and solving the fast-convergence SDP ----------------------
@@ -430,11 +443,11 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
     if prob.alpha < floor - certify.FEASIBILITY_TOL:
         sol = SDPSolution(lambda_coeffs={}, objective=float("nan"),
                           duality_gap=float("nan"), iterations=0,
-                          status="infeasible")
+                          status="infeasible", reason="below-floor")
         return sol, None
 
     sdp = _assemble(prob)
-    X, _, Z, iterations, status = sdp.solve(gap_tol=tol)
+    X, _, Z, iterations, status, reason = sdp.solve(gap_tol=tol)
     # Drop the negligible entries first and normalize once, so the
     # returned lambda sums to 1 to roundoff.
     lam = X[-1].copy()
@@ -451,7 +464,7 @@ def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
     sol = SDPSolution(lambda_coeffs=lambda_coeffs,
                       objective=float(prob.objective @ lam),
                       duality_gap=float(sdp._inner(X, Z)),
-                      iterations=iterations, status=status)
+                      iterations=iterations, status=status, reason=reason)
     return sol, cert
 
 

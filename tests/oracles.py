@@ -8,7 +8,8 @@ referee for the cutting-plane loop only: it evaluates its rows directly,
 never expanded, and runs the library's simplex kernel once, on the dual
 of a dense-grid LP.  The HiGHS grid objective and the direct slack share
 no code with the library: their rows are evaluated directly as well, and
-scipy solves the LP.
+scipy solves the LP.  ``random_edge_map`` draws the random degree
+distributions the tests check against these.
 """
 
 from itertools import combinations
@@ -55,6 +56,16 @@ def brute_force_lp(c, A, b, E, d):
         if best_obj is None or obj > best_obj:
             best_obj, best_x = obj, x
     return best_x, best_obj
+
+
+def random_edge_map(rng, lo, hi, max_terms):
+    """A random edge-degree map {degree: fraction}: 1..max_terms distinct
+    degrees in lo..hi with Dirichlet(1) fractions summing to 1."""
+    k = int(rng.integers(1, max_terms + 1))
+    degrees = rng.choice(np.arange(lo, hi + 1), size=k, replace=False)
+    w = rng.dirichlet(np.ones(k))
+    w[-1] = 1.0 - w[:-1].sum()
+    return {int(d): float(c) for d, c in zip(degrees, w)}
 
 
 def threshold_fixed_point_scan(lam_poly, rho_poly, eps, grid_step=1e-4):

@@ -1,18 +1,18 @@
 """Certifiers: the normalized slack's Bernstein coefficients, margins, the
-Bernstein positivity proof, and the feasibility floor."""
+positivity proofs they give, and the feasibility floor."""
 
 import numpy as np
 import pytest
 
 from ldpcdesign import certify
 from ldpcdesign.certify import (
-    FEASIBILITY_TOL, MAX_SPLIT_DEPTH, bernstein_margin, feasibility_floor,
-    min_normalized_slack, proves_positive)
+    FEASIBILITY_TOL, FLOOR_TOL, MAX_SPLIT_DEPTH, bernstein_margin,
+    feasibility_floor, min_normalized_slack)
 from ldpcdesign.polynomials import (
     bernstein_halves, bernstein_quotient_sum, bernstein_split,
     poly_from_edge_coeffs)
 
-from oracles import direct_min_slack, threshold_closed_form
+from oracles import direct_min_slack, random_edge_map, threshold_closed_form
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
@@ -137,14 +137,6 @@ def test_floor_boundary_feasibility():
     assert not below.feasible
 
 
-def _random_edge_map(rng, lo, hi, max_terms):
-    k = int(rng.integers(1, max_terms + 1))
-    degrees = rng.choice(np.arange(lo, hi + 1), size=k, replace=False)
-    w = rng.dirichlet(np.ones(k))
-    w[-1] = 1.0 - w[:-1].sum()
-    return {int(d): float(c) for d, c in zip(degrees, w)}
-
-
 def _count_splits(monkeypatch):
     """Record the number of pieces of every subdivision step."""
     sizes = []
@@ -157,7 +149,14 @@ def _count_splits(monkeypatch):
     return sizes
 
 
-def test_proves_positive_agrees_with_direct_evaluation():
+def _proves_positive(coeffs, halves):
+    """The branch and bound's proof that the polynomial with Bernstein
+    coefficients ``coeffs`` is positive on [0, 1]: its minimum is within
+    FLOOR_TOL of ``min_slack``, so a ``min_slack`` above FLOOR_TOL proves it."""
+    return bernstein_margin(coeffs, halves).min_slack > FLOOR_TOL
+
+
+def test_margin_proof_agrees_with_direct_evaluation():
     # Random (lambda, rho) with epsilon within 3 % of the threshold, so the
     # slack's minimum is near zero.  A proof is never given where the slack,
     # evaluated directly and never expanded, is <= -1e-12, and is given
@@ -166,8 +165,8 @@ def test_proves_positive_agrees_with_direct_evaluation():
     x = np.arange(0, 20_001) / 20_000
     proved = refuted = 0
     for _ in range(60):
-        lam = _random_edge_map(rng, 2, 15, 3)
-        rho_map = _random_edge_map(rng, 3, 11, 2)
+        lam = random_edge_map(rng, 2, 15, 3)
+        rho_map = random_edge_map(rng, 3, 11, 2)
         rho = poly_from_edge_coeffs(rho_map)
         eps = threshold_closed_form(lam, rho_map) * float(rng.uniform(0.97, 1.03))
         if eps >= 1.0:
@@ -177,7 +176,7 @@ def test_proves_positive_agrees_with_direct_evaluation():
         at_zero = 1.0 - lam.get(2, 0.0) * eps * rho.derivative()(1.0)
         direct_min = min(float(direct.min()), at_zero)
         s = 1.0 - bernstein_quotient_sum(lam, rho, eps)
-        if proves_positive(s, bernstein_halves(s.size - 1)):
+        if _proves_positive(s, bernstein_halves(s.size - 1)):
             assert direct_min > -1e-12
             proved += 1
         else:
@@ -198,8 +197,8 @@ def test_bernstein_margin_matches_direct_evaluation():
         return alpha - sum(c * f ** (i - 1) for i, c in lam.items()) / pts
 
     for _ in range(30):
-        lam = _random_edge_map(rng, 2, 15, 3)
-        rho = poly_from_edge_coeffs(_random_edge_map(rng, 3, 11, 2))
+        lam = random_edge_map(rng, 2, 15, 3)
+        rho = poly_from_edge_coeffs(random_edge_map(rng, 3, 11, 2))
         eps, alpha = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.2, 1.0))
         s = alpha - bernstein_quotient_sum(lam, rho, eps)
         margin = bernstein_margin(s, bernstein_halves(s.size - 1))
@@ -213,38 +212,44 @@ def test_bernstein_margin_matches_direct_evaluation():
         assert margin.feasible == (margin.min_slack >= -FEASIBILITY_TOL)
 
 
-def test_proves_positive_refutes_zero_slack_without_splitting(monkeypatch):
+def test_margin_refutes_zero_slack_without_splitting(monkeypatch):
     # lambda = x, rho = x, epsilon = 1: s = 1 - f / x is identically 0.
     sizes = _count_splits(monkeypatch)
     s = 1.0 - bernstein_quotient_sum({2: 1.0}, RHO_X, 1.0)
     assert np.array_equal(s, [0.0])
-    assert not proves_positive(s, bernstein_halves(0))
+    assert not _proves_positive(s, bernstein_halves(0))
     assert sizes == []
 
 
-def test_proves_positive_caps_end_the_subdivision(monkeypatch):
+def test_margin_caps_end_the_subdivision(monkeypatch):
     sizes = _count_splits(monkeypatch)
-    # (3x - 1)^2 touches 0 at 1/3, which no split point reaches: neither
-    # rule settles it, so the depth cap ends the loop.
+    # (3x - 1)^2 touches 0 at 1/3, which no split point reaches: the branch
+    # and bound settles its minimum to within FLOOR_TOL before the depth
+    # cap, and that is no proof of positivity.
     touching = np.array([1.0, -2.0, 4.0])
     halves = bernstein_halves(2)
-    assert not proves_positive(touching, halves)
-    assert len(sizes) == MAX_SPLIT_DEPTH
-    # Lifted by 1e-6 it is proved within the caps ...
-    sizes.clear()
-    assert proves_positive(touching + 1e-6, halves)
+    assert not _proves_positive(touching, halves)
     assert 0 < len(sizes) < MAX_SPLIT_DEPTH
-    # ... and not with fewer levels than that proof needs.
-    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", len(sizes) - 1)
-    assert not proves_positive(touching + 1e-6, halves)
+    # Lifted by 1e-6 it is proved within the caps, after 11 levels ...
+    sizes.clear()
+    assert _proves_positive(touching + 1e-6, halves)
+    assert 0 < len(sizes) < MAX_SPLIT_DEPTH
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 11)
+    assert _proves_positive(touching + 1e-6, halves)
+    # ... and not with fewer: the depth cap ends the loop, and the bound is
+    # the smallest coefficient of the pieces it leaves open.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 10)
+    sizes.clear()
+    assert not _proves_positive(touching + 1e-6, halves)
+    assert len(sizes) == 10
     # (3x - 1)^2 (3x - 2)^2 + 1e-6 keeps two pieces alive after the first
     # split; three live pieces at most end the loop there.
     monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", MAX_SPLIT_DEPTH)
     two_touching = np.array([4.0, -5.0, 5.5, -5.0, 4.0]) + 1e-6
-    assert proves_positive(two_touching, bernstein_halves(4))
+    assert _proves_positive(two_touching, bernstein_halves(4))
     monkeypatch.setattr(certify, "MAX_PIECES", 3)
     sizes.clear()
-    assert not proves_positive(two_touching, bernstein_halves(4))
+    assert not _proves_positive(two_touching, bernstein_halves(4))
     assert sizes == [1]
 
 

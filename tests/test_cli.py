@@ -2,6 +2,7 @@
 
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_emit_csv_and_read_back(tmp_path):
     cfg = _small_config(tmp_path)
     rows = run_sweep(cfg)
     emit_csv(rows, cfg.out_csv, cfg.dv_max)
-    text = open(cfg.out_csv).read()
+    text = Path(cfg.out_csv).read_text()
     assert text.splitlines()[0] == \
         "alpha,solver,status,rate,gap,min_slack,iters,lambda_2,lambda_3,lambda_4"
     back = read_csv_rows(cfg.out_csv, cfg.epsilon)
@@ -140,10 +141,10 @@ def test_csv_byte_determinism(tmp_path):
     cfg = _small_config(tmp_path)
     rows1 = run_sweep(cfg)
     emit_csv(rows1, cfg.out_csv, cfg.dv_max)
-    first = open(cfg.out_csv, "rb").read()
+    first = Path(cfg.out_csv).read_bytes()
     rows2 = run_sweep(cfg)
     emit_csv(rows2, cfg.out_csv, cfg.dv_max)
-    assert open(cfg.out_csv, "rb").read() == first
+    assert Path(cfg.out_csv).read_bytes() == first
 
 
 # --- SVG ------------------------------------------------------------------
@@ -213,7 +214,19 @@ def test_cli_optimize_sdp(capsys):
     code = main(["optimize", "--solver", "sdp", "--rho", "x^3",
                  "--epsilon", "0.3", "--dv-max", "4", "--alpha", "1.0"])
     assert code == 0
-    assert "status = optimal (sdp)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status = optimal (sdp)" in out
+    assert "reason" not in out
+
+
+@pytest.mark.parametrize("command", ["optimize", "certify-sos"])
+def test_cli_sdp_non_optimal_prints_its_reason(capsys, command):
+    # 0.05 is below the feasibility floor: no solve, and the reason says so.
+    extra = ["--solver", "sdp"] if command == "optimize" else []
+    code = main([command, *extra, "--rho", "x^3", "--epsilon", "0.3",
+                 "--dv-max", "6", "--alpha", "0.05"])
+    assert code == 1
+    assert capsys.readouterr().out == "status = infeasible\nreason = below-floor\n"
 
 
 def test_cli_optimize_infeasible():

@@ -8,9 +8,10 @@ import pytest
 from ldpcdesign import certify, desim
 from ldpcdesign.desim import (
     DETrace, de_step, de_trace, empirical_contraction, threshold)
-from ldpcdesign.polynomials import DegreeDistribution
+from ldpcdesign.certify import FLOOR_TOL
+from ldpcdesign.polynomials import BernsteinQuotientSum, DegreeDistribution
 
-from oracles import threshold_closed_form
+from oracles import random_edge_map, threshold_closed_form
 
 CYCLE = DegreeDistribution({2: 1.0}, {2: 1.0})          # lambda = x, rho = x
 REGULAR_36 = DegreeDistribution({3: 1.0}, {6: 1.0})     # lambda = x^2, rho = x^5
@@ -123,8 +124,8 @@ def test_threshold_matches_closed_form(lam, rho):
 
 
 def test_threshold_never_expands_monomials(monkeypatch):
-    # The search decides each epsilon by a positivity proof on Bernstein
-    # coefficients (certify.proves_positive), not by the margin certifier.
+    # The threshold comes from the branch and bound on Bernstein
+    # coefficients (certify._minimum), not from the margin certifier.
     def refuse(*args, **kwargs):
         raise AssertionError("threshold reached the margin certifier")
 
@@ -150,6 +151,70 @@ def test_threshold_consistency_with_traces():
     above = de_trace(REGULAR_36, result.threshold + 2e-4, target=1e-6)
     assert below.converged
     assert not above.converged
+
+
+def _panel(seed, size):
+    """Random designs like the benchmark's: lambda with 1-3 degrees in
+    2..15, rho with 1-2 degrees in 3..11, Dirichlet(1) fractions."""
+    rng = np.random.default_rng(seed)
+    return [(random_edge_map(rng, 2, 15, 3), random_edge_map(rng, 3, 11, 2))
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("lam, rho", _panel(13, 40))
+def test_threshold_matches_closed_form_on_random_panel(lam, rho):
+    result = threshold(DegreeDistribution(lam, rho), tol=1e-6)
+    assert result.threshold == pytest.approx(threshold_closed_form(lam, rho),
+                                             abs=1e-9)
+    assert result.bracket_width <= 1e-6
+
+
+def test_threshold_cycle_code_is_one():
+    # g(y) = lambda(1 - rho(1 - y)) / y = 1 on all of [0, 1]: the proved
+    # interval of the threshold is [1 / (1 + FLOOR_TOL), 1].
+    result = threshold(CYCLE, tol=1e-6)
+    assert 1.0 - FLOOR_TOL <= result.threshold < 1.0
+    assert result.bracket_width < 2 * FLOOR_TOL
+
+
+def test_threshold_builds_the_bernstein_coefficients_once(monkeypatch):
+    # One Bernstein build at epsilon = 1 per call, not one per epsilon tried.
+    calls = []
+    scaled_inner = BernsteinQuotientSum.scaled_inner
+
+    def counting(self, epsilon):
+        calls.append(epsilon)
+        return scaled_inner(self, epsilon)
+
+    monkeypatch.setattr(BernsteinQuotientSum, "scaled_inner", counting)
+    for dist in (CYCLE, REGULAR_36, DegreeDistribution(*_panel(13, 1)[0])):
+        calls.clear()
+        threshold(dist, tol=1e-6)
+        assert calls == [1.0]
+
+
+@pytest.mark.parametrize("dist", [REGULAR_36] + [
+    DegreeDistribution(lam, rho) for lam, rho in _panel(14, 20) if 2 not in lam])
+def test_threshold_separates_traces_within_1e_5(dist):
+    # Without lambda_2 the threshold is set where DE meets a fixed point
+    # inside (0, 1], so the traces settle within the iteration budget on
+    # both sides.  (With lambda_2 the bottleneck can be y -> 0, where
+    # convergence just below the threshold takes ~1e6 iterations.)
+    eps = threshold(dist, tol=1e-6).threshold
+    assert de_trace(dist, eps * (1.0 - 1e-5)).converged
+    assert not de_trace(dist, eps * (1.0 + 1e-5)).converged
+
+
+def test_threshold_cap_returns_the_lower_end(monkeypatch):
+    # With no split allowed the interval of 1 / M is wider than tol, and the
+    # lower end is returned: it errs low.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 0)
+    capped = threshold(REGULAR_36, tol=1e-6)
+    monkeypatch.undo()
+    full = threshold(REGULAR_36, tol=1e-6)
+    assert capped.bracket_width > 1e-6
+    assert capped.threshold < full.threshold - full.bracket_width
+    assert capped.threshold + capped.bracket_width > full.threshold
 
 
 def test_threshold_rejects_bad_tol():

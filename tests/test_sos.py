@@ -188,8 +188,9 @@ def test_kernel_below_floor_ends_at_iteration_limit():
     floor = feasibility_floor(RHO_X3, 0.3, 10)
     prob = build_sos_problem(
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=floor - 1e-4, d_v=10))
-    *_, iterations, status = sos._assemble(prob).solve()
+    *_, iterations, status, reason = sos._assemble(prob).solve()
     assert status == "iteration-limit"
+    assert reason == "tau-collapse"
     assert iterations <= 30
 
 
@@ -327,7 +328,10 @@ def test_irregular_design_just_above_floor_is_optimal():
 @pytest.mark.parametrize("fail_after", [1, 10, 45, 120])
 def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
     # Every Cholesky factorization after the first few raises: the solve
-    # ends on the best iterate with a non-optimal status and never raises.
+    # ends on the best iterate with a non-optimal status and never raises,
+    # and says why it stopped.  A failure inside a Newton step ends the
+    # loop; one in the step-length search refuses every trial step, and
+    # the blocked step ends it.
     cholesky = np.linalg.cholesky
     calls = [0]
 
@@ -343,6 +347,9 @@ def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
     assert calls[0] > fail_after
     assert sol.status in ("numerical-failure", "iteration-limit")
     assert cert is not None
+    assert sol.reason == {1: "factorization", 10: "blocked-step",
+                          45: "blocked-step", 120: "factorization"}[fail_after]
+    assert (sol.reason == "factorization") == (sol.status == "numerical-failure")
 
 
 def test_high_degree_design_matches_lp_path():
