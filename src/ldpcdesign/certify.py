@@ -22,7 +22,7 @@ built from nonnegative sums, with one de Casteljau subdivision loop:
   ``verify`` and ``optimize`` margins of the CLI and the sweep's
   ``min_slack`` column.
 - ``feasibility_floor`` is the smallest feasible alpha; both solver paths
-  (``lp.solve_semi_infinite``, ``sos.solve_sdp``) take their infeasibility
+  (``lp.solve_semi_infinite``, ``sos.solve_sdps``) take their infeasibility
   test from it, the LP loop through ``_floor`` on the Bernstein setup it
   certifies with.
 """
@@ -52,6 +52,9 @@ FLOOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MarginReport:
+    # The slack's minimum lies in [min_slack - FLOOR_TOL, min_slack] when no
+    # subdivision cap ends the search, and min_slack is then the value the
+    # slack takes at argmin_x; min_slack - FLOOR_TOL is the proved lower bound.
     min_slack: float
     argmin_x: float
     endpoint_slack: float
@@ -115,11 +118,12 @@ def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, floa
     The end coefficients of a piece are values of the polynomial, and its
     smallest coefficient bounds it from below on the piece.  Pieces whose
     bound lies within FLOOR_TOL of the best value are dropped, the rest are
-    split.  Returns (value, location, bound): the smallest value found and
-    the point where the polynomial takes it, which is within FLOOR_TOL of
-    the minimum unless a subdivision cap ends the search first, and a lower
-    bound on the minimum, which is the value itself unless a cap left
-    pieces open.
+    split.  Returns (value, location, bound): the smallest value found, the
+    point where the polynomial takes it, and a bound such that the minimum
+    lies in [bound - FLOOR_TOL, value].  Unless a subdivision cap ends the
+    search first, bound is the value itself, which is then within FLOOR_TOL
+    above the minimum, not below it; a cap that leaves pieces open lowers
+    bound to their smallest coefficient.
     """
     best, where = np.inf, 0.0
 
@@ -138,10 +142,11 @@ def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, floa
 
 def bernstein_margin(coeffs: np.ndarray, halves: np.ndarray) -> MarginReport:
     """The margin of a normalized slack given by its Bernstein coefficients
-    on [0, 1] (``halves`` of the same degree), by branch and bound: the
-    minimum is proved to within FLOOR_TOL, ``min_slack`` is a lower bound
-    on it, and ``argmin_x`` a point where the slack is within FLOOR_TOL of
-    it."""
+    on [0, 1] (``halves`` of the same degree), by branch and bound:
+    ``min_slack`` is the bound of ``_minimum``, so the minimum is at least
+    ``min_slack - FLOOR_TOL``.  Unless a subdivision cap ends the search,
+    ``min_slack`` is a value the slack takes, at ``argmin_x``, and the
+    minimum lies within FLOOR_TOL below it."""
     _, argmin_x, min_slack = _minimum(coeffs, halves)
     return MarginReport(
         min_slack=min_slack,

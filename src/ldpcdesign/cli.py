@@ -17,7 +17,6 @@ from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_alpha_va
 from .lp import SolveRequest, solve_semi_infinite
 from .polynomials import (DegreeDistribution, Polynomial, bernstein_quotient_sum,
                           poly_from_edge_coeffs, rate_and_gap)
-from .sos import EIG_TOL, MATCHING_TOL, build_sos_problem, check_certificate, solve_sdp
 from .svgplot import NoPlottableRows, emit_svg_plot
 
 EXIT_OK = 0
@@ -73,6 +72,7 @@ def cmd_optimize(args) -> int:
     req = _solve_request(args)
     reason = None
     if args.solver == "sdp":
+        from .sos import build_sos_problem, solve_sdp
         sol, _ = solve_sdp(build_sos_problem(req))
         status, lam, reason = sol.status, sol.lambda_coeffs, sol.reason
     else:
@@ -158,6 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify_sos(args) -> int:
+    from .sos import EIG_TOL, MATCHING_TOL, build_sos_problem, check_certificate, solve_sdp
     req = _solve_request(args)
     prob = build_sos_problem(req)
     sol, cert = solve_sdp(prob)

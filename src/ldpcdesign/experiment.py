@@ -1,7 +1,8 @@
 """Experiment configuration, the alpha sweep, and CSV emission.
 
-Configs are a line-oriented ``key = value`` format; the sweep runs one solve
-per (alpha, solver) pair, certifies it, measures the DE trace, and emits
+Configs are a line-oriented ``key = value`` format; the sweep solves every
+alpha with each solver (one LP solve per alpha, one lockstep SDP solve over
+all of them), certifies each answer, measures its DE trace, and emits
 deterministic CSV rows.
 """
 
@@ -15,7 +16,6 @@ from . import certify
 from .desim import de_trace
 from .lp import SolveRequest, solve_semi_infinite
 from .polynomials import DegreeDistribution, poly_from_edge_coeffs, rate_and_gap
-from .sos import build_sos_problem, solve_sdp
 
 KNOWN_KEYS = ("rho", "epsilon", "dv_max", "alpha", "solver", "target",
               "out_csv", "out_svg")
@@ -185,36 +185,42 @@ def render_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_one(cfg: ExperimentConfig, alpha: float, solver: str) -> SweepRow:
-    rho = poly_from_edge_coeffs(cfg.rho_coeffs)
-    req = SolveRequest(rho=rho, epsilon=cfg.epsilon, alpha=alpha, d_v=cfg.dv_max)
-    if solver == "lp":
-        res = solve_semi_infinite(req)
-        status, lam = res.status, res.lambda_coeffs
-    else:
-        sol, _ = solve_sdp(build_sos_problem(req))
-        status, lam = sol.status, sol.lambda_coeffs
+def _row(cfg: ExperimentConfig, req: SolveRequest, solver: str, status: str,
+         lam: dict) -> SweepRow:
+    """The sweep row of one solve: certified, measured on the DE trace."""
     if status != "optimal" or not lam:
-        return SweepRow(alpha=alpha, solver=solver, status=status, rate=None,
+        return SweepRow(alpha=req.alpha, solver=solver, status=status, rate=None,
                         gap=None, min_slack=None, iters=None, lambdas=())
 
-    margin = certify.min_normalized_slack(lam, rho, cfg.epsilon, alpha)
-    rate, gap = rate_and_gap(lam, rho, cfg.epsilon)
+    margin = certify.min_normalized_slack(lam, req.rho, cfg.epsilon, req.alpha)
+    rate, gap = rate_and_gap(lam, req.rho, cfg.epsilon)
     dist = DegreeDistribution(lam, cfg.rho_coeffs)
     trace = de_trace(dist, cfg.epsilon, target=cfg.target)
     lambdas = tuple(lam.get(i, 0.0) for i in range(2, cfg.dv_max + 1))
-    return SweepRow(alpha=alpha, solver=solver, status=status, rate=rate,
+    return SweepRow(alpha=req.alpha, solver=solver, status=status, rate=rate,
                     gap=gap, min_slack=margin.min_slack,
                     iters=trace.iterations_to_target, lambdas=lambdas)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    """One row per (alpha, solver) pair; infeasible alphas produce flagged
-    rows rather than aborting the sweep."""
+    """One row per (alpha, solver) pair, sorted by alpha then solver.  The
+    LP rows are one ``solve_semi_infinite`` per alpha; the SDP rows are one
+    lockstep ``solve_sdps`` over every alpha, which share rho, epsilon and
+    d_v.  Infeasible alphas produce flagged rows rather than aborting the
+    sweep."""
+    rho = poly_from_edge_coeffs(cfg.rho_coeffs)
+    reqs = [SolveRequest(rho=rho, epsilon=cfg.epsilon, alpha=alpha, d_v=cfg.dv_max)
+            for alpha in cfg.alpha_values]
     rows = []
-    for alpha in cfg.alpha_values:
-        for solver in cfg.solvers():
-            rows.append(_solve_one(cfg, alpha, solver))
+    if "lp" in cfg.solvers():
+        for req in reqs:
+            res = solve_semi_infinite(req)
+            rows.append(_row(cfg, req, "lp", res.status, res.lambda_coeffs))
+    if "sdp" in cfg.solvers():
+        from .sos import build_sos_problem, solve_sdps
+        sols = solve_sdps([build_sos_problem(req) for req in reqs])
+        rows += [_row(cfg, req, "sdp", sol.status, sol.lambda_coeffs)
+                 for req, (sol, _) in zip(reqs, sols)]
     rows.sort(key=lambda r: (r.alpha, r.solver))
     return rows
 

@@ -212,6 +212,17 @@ def test_bernstein_margin_matches_direct_evaluation():
         assert margin.feasible == (margin.min_slack >= -FEASIBILITY_TOL)
 
 
+def test_margin_min_slack_is_a_value_within_floor_tol_of_the_minimum():
+    # (3x - 1)^2 has its minimum 0 at 1/3, which no split point reaches.  No
+    # cap ends the search, so min_slack is the smallest value found, which
+    # lies above the minimum, by at most FLOOR_TOL: the proved lower bound
+    # is min_slack - FLOOR_TOL.
+    margin = bernstein_margin(np.array([1.0, -2.0, 4.0]), bernstein_halves(2))
+    assert margin.min_slack - FLOOR_TOL <= 0.0 <= margin.min_slack
+    assert (3.0 * margin.argmin_x - 1.0) ** 2 == pytest.approx(margin.min_slack,
+                                                                abs=1e-15)
+
+
 def test_margin_refutes_zero_slack_without_splitting(monkeypatch):
     # lambda = x, rho = x, epsilon = 1: s = 1 - f / x is identically 0.
     sizes = _count_splits(monkeypatch)

@@ -8,12 +8,13 @@ import pytest
 
 from ldpcdesign import sos
 from ldpcdesign.certify import feasibility_floor, min_normalized_slack
+from ldpcdesign.experiment import parse_config, run_sweep
 from ldpcdesign.lp import SolveRequest, solve_semi_infinite
 from ldpcdesign.polynomials import (
     DegreeDistribution, bernstein_quotient_sum, poly_from_edge_coeffs, rate_and_gap)
 from ldpcdesign.sos import (
     SOSCertificate, build_sos_problem, certificate_min_eigenvalue,
-    check_certificate, solve_sdp)
+    check_certificate, solve_sdp, solve_sdps)
 
 from oracles import highs_grid_objective
 
@@ -188,7 +189,7 @@ def test_kernel_below_floor_ends_at_iteration_limit():
     floor = feasibility_floor(RHO_X3, 0.3, 10)
     prob = build_sos_problem(
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=floor - 1e-4, d_v=10))
-    *_, iterations, status, reason = sos._assemble(prob).solve()
+    *_, [iterations], [status], [reason] = sos._assemble([prob]).solve()
     assert status == "iteration-limit"
     assert reason == "tau-collapse"
     assert iterations <= 30
@@ -325,13 +326,17 @@ def test_irregular_design_just_above_floor_is_optimal():
         highs_grid_objective(rho_map, 13, 0.4335, 0.8652), abs=1e-6)
 
 
-@pytest.mark.parametrize("fail_after", [1, 10, 45, 120])
+@pytest.mark.parametrize("fail_after", [1, 10, 45, 71])
 def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
     # Every Cholesky factorization after the first few raises: the solve
     # ends on the best iterate with a non-optimal status and never raises,
     # and says why it stopped.  A failure inside a Newton step ends the
     # loop; one in the step-length search refuses every trial step, and
-    # the blocked step ends it.
+    # the blocked step ends it.  Here an iteration makes seven calls: three
+    # in the Newton step (each Gram block of X and Z as one stack, then
+    # B B^T) and two per step-length search (a trial step's Gram blocks).
+    # Call 2 and call 72 (iteration 11) are Newton-step factorizations;
+    # calls 11 and 46 are in step-length searches.
     cholesky = np.linalg.cholesky
     calls = [0]
 
@@ -348,7 +353,7 @@ def test_failed_factorization_returns_non_optimal(monkeypatch, fail_after):
     assert sol.status in ("numerical-failure", "iteration-limit")
     assert cert is not None
     assert sol.reason == {1: "factorization", 10: "blocked-step",
-                          45: "blocked-step", 120: "factorization"}[fail_after]
+                          45: "blocked-step", 71: "factorization"}[fail_after]
     assert (sol.reason == "factorization") == (sol.status == "numerical-failure")
 
 
@@ -391,3 +396,193 @@ def test_check_certificate_bounds_the_deviation_on_the_interval():
         deviation = np.max(np.abs(_bernstein_matrix(m, xs) @ q - gram))
         assert deviation >= 0.5 * abs(delta)
         assert check_certificate(q, bad) >= deviation
+
+
+def _assert_same_solve(got, want):
+    """Two (SDPSolution, SOSCertificate | None) pairs agree bit for bit."""
+    (sol, cert), (sol0, cert0) = got, want
+    assert (sol.status, sol.reason, sol.iterations) == (
+        sol0.status, sol0.reason, sol0.iterations)
+    assert sol.lambda_coeffs == sol0.lambda_coeffs
+    assert np.array_equal([sol.objective, sol.duality_gap],
+                          [sol0.objective, sol0.duality_gap], equal_nan=True)
+    assert (cert is None) == (cert0 is None)
+    if cert is not None:
+        assert len(cert.gram_blocks) == len(cert0.gram_blocks)
+        assert all(np.array_equal(G, G0)
+                   for G, G0 in zip(cert.gram_blocks, cert0.gram_blocks))
+        assert (cert.matching_residual, cert.min_eigenvalue) == (
+            cert0.matching_residual, cert0.min_eigenvalue)
+
+
+def _lockstep_panels():
+    """Batches of (rho, epsilon, d_v, alpha) sharing rho, epsilon and d_v:
+    the reference sweep, each near-floor design just above its floor, and
+    each hard design at its alpha and 0.05 either side."""
+    yield [(RHO_X3, 0.3, 6, alpha) for alpha in REFERENCE_ALPHAS]
+    for rho, epsilon, d_v in NEAR_FLOOR_DESIGNS:
+        floor = feasibility_floor(rho, epsilon, d_v)
+        yield [(rho, epsilon, d_v, floor + delta) for delta in (1e-7, 1e-5, 1e-3)]
+    for d_c, d_v, epsilon, alpha in HARD_DESIGNS:
+        rho = poly_from_edge_coeffs({d_c: 1.0})
+        yield [(rho, epsilon, d_v, a)
+               for a in (alpha - 0.05, alpha, min(alpha + 0.05, 1.0))]
+
+
+@pytest.mark.parametrize("panel", list(_lockstep_panels()))
+def test_lockstep_members_equal_their_solo_solves(panel):
+    # Every member of a lockstep batch is solved exactly as it is alone:
+    # lambda, objective, duality gap, Gram blocks, iterations, status and
+    # reason agree bit for bit.
+    probs = [build_sos_problem(SolveRequest(rho=rho, epsilon=epsilon,
+                                            alpha=alpha, d_v=d_v))
+             for rho, epsilon, d_v, alpha in panel]
+    batch = solve_sdps(probs)
+    assert len(batch) == len(probs)
+    for got, prob in zip(batch, probs):
+        _assert_same_solve(got, solve_sdp(prob))
+    # The same members in the reverse order give the same answers.
+    for got, want in zip(solve_sdps(probs[::-1]), batch[::-1]):
+        _assert_same_solve(got, want)
+
+
+def test_reference_sweep_iteration_counts():
+    probs = [build_sos_problem(SolveRequest(rho=RHO_X3, epsilon=0.3,
+                                            alpha=alpha, d_v=6))
+             for alpha in REFERENCE_ALPHAS]
+    sols = [sol for sol, _ in solve_sdps(probs)]
+    assert all(sol.status == "optimal" and sol.reason == "converged"
+               for sol in sols)
+    assert [sol.iterations for sol in sols] == [15, 16, 16, 15, 13, 14, 14, 12, 10]
+
+
+def test_kernel_batch_member_below_floor_collapses_alone():
+    # A member past the floor test drives its own tau to zero and leaves
+    # the stack at tau-collapse; the others converge as they do alone.
+    floor = feasibility_floor(RHO_X3, 0.3, 10)
+    probs = [build_sos_problem(SolveRequest(rho=RHO_X3, epsilon=0.3,
+                                            alpha=alpha, d_v=10))
+             for alpha in (0.5, floor - 1e-4, 0.9, 1.0)]
+    X, y, Z, iterations, statuses, reasons = sos._assemble(probs).solve()
+    assert list(zip(statuses, reasons)) == [
+        ("optimal", "converged"), ("iteration-limit", "tau-collapse"),
+        ("optimal", "converged"), ("optimal", "converged")]
+    assert iterations[1] <= 30
+    for j, prob in enumerate(probs):
+        X0, y0, Z0, iterations0, statuses0, reasons0 = sos._assemble([prob]).solve()
+        assert (iterations[j], statuses[j], reasons[j]) == (
+            iterations0[0], statuses0[0], reasons0[0])
+        for M, M0 in zip(X + [y] + Z, X0 + [y0] + Z0):
+            assert np.array_equal(M[j], M0[0])
+
+
+def test_solve_sdps_needs_one_rho_epsilon_and_d_v():
+    base = dict(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)
+    prob = build_sos_problem(SolveRequest(**base))
+    for change in ({"rho": RHO_X4}, {"epsilon": 0.31}, {"d_v": 7}):
+        other = build_sos_problem(SolveRequest(**{**base, **change}))
+        with pytest.raises(ValueError):
+            solve_sdps([prob, other])
+    assert solve_sdps([]) == []
+    # Equal polynomials built apart count as one rho.
+    same = build_sos_problem(SolveRequest(**{**base, "rho": poly_from_edge_coeffs({4: 1.0}),
+                                             "alpha": 0.6}))
+    assert [sol.status for sol, _ in solve_sdps([prob, same])] == ["optimal"] * 2
+
+
+def test_factorization_failure_ends_only_its_member(monkeypatch):
+    # A Cholesky factorization that fails on one member of a batch, inside
+    # a Newton step, ends that member as a numerical failure; every other
+    # member goes on and ends exactly as it does alone.
+    probs = [build_sos_problem(SolveRequest(rho=RHO_X3, epsilon=0.3,
+                                            alpha=alpha, d_v=6))
+             for alpha in REFERENCE_ALPHAS]
+    alone = [solve_sdp(prob) for prob in probs]
+    target, steps, victim = 4, [0], []
+    newton_step = sos._BlockSDP._newton_step
+    cholesky = np.linalg.cholesky
+
+    def counting(self, *args):
+        steps[0] += 1
+        return newton_step(self, *args)
+
+    def flaky(M):
+        if steps[0] == 3 and not victim:
+            # The third Newton step's first factorization: the first Gram
+            # block of X, then of Z, of every member; X's of the target
+            # fails, as a stack and again alone.
+            assert M.shape[0] == 2 * len(probs)
+            victim.append(M[target].copy())
+            raise np.linalg.LinAlgError("injected failure")
+        if victim and M.shape[0] == 1 and np.array_equal(M[0], victim[0]):
+            raise np.linalg.LinAlgError("injected failure")
+        return cholesky(M)
+
+    monkeypatch.setattr(sos._BlockSDP, "_newton_step", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    batch = solve_sdps(probs)
+    assert victim
+    for k, (got, want) in enumerate(zip(batch, alone)):
+        if k == target:
+            sol, cert = got
+            assert (sol.status, sol.reason, sol.iterations) == (
+                "numerical-failure", "factorization", 3)
+            assert cert is not None
+        else:
+            _assert_same_solve(got, want)
+
+
+def test_sweep_alpha_order_does_not_change_rows(tmp_path):
+    # The SDP rows of a sweep are one lockstep solve over its alphas; the
+    # order of the alphas, with one of them below the floor, changes
+    # nothing.
+    text = ("rho = x^3\nepsilon = 0.3\ndv_max = 6\nalpha = {}\n"
+            f"out_csv = {tmp_path}/s.csv\nout_svg = {tmp_path}/s.svg\n")
+    alphas = ("0.7", "0.2", "0.05", "1.0", "0.5", "0.3")
+    shuffled = run_sweep(parse_config(text.format(",".join(alphas))))
+    ordered = run_sweep(parse_config(text.format(",".join(sorted(alphas, key=float)))))
+    assert shuffled == ordered
+    assert [(r.alpha, r.solver, r.status) for r in ordered[:2]] == [
+        (0.05, "lp", "infeasible"), (0.05, "sdp", "infeasible")]
+    assert all(r.status == "optimal" for r in ordered[2:])
+
+
+def test_blocked_step_ends_only_its_member(monkeypatch):
+    # One member whose every trial step is refused in its fifth Newton
+    # step, the centering retry's included, ends there as blocked-step;
+    # the retry is taken for the whole stack, and every other member keeps
+    # its own step and ends exactly as it does alone.
+    probs = [build_sos_problem(SolveRequest(rho=RHO_X3, epsilon=0.3,
+                                            alpha=alpha, d_v=6))
+             for alpha in REFERENCE_ALPHAS]
+    alone = [solve_sdp(prob) for prob in probs]
+    target, steps = 2, [0]
+    newton_step = sos._BlockSDP._newton_step
+    interior = sos._BlockSDP._interior
+
+    def counting(self, *args):
+        steps[0] += 1
+        return newton_step(self, *args)
+
+    def refusing(Ms):
+        inside = interior(Ms)
+        if steps[0] == 5:
+            # A full stack holds X's blocks, then Z's, of every member; on
+            # this panel no other member backtracks, so a shorter stack
+            # holds the target's trial steps alone.
+            if len(inside) == 2 * len(probs):
+                inside[target] = False
+            else:
+                inside[:] = False
+        return inside
+
+    monkeypatch.setattr(sos._BlockSDP, "_newton_step", counting)
+    monkeypatch.setattr(sos._BlockSDP, "_interior", staticmethod(refusing))
+    batch = solve_sdps(probs)
+    for k, (got, want) in enumerate(zip(batch, alone)):
+        if k == target:
+            sol, _ = got
+            assert (sol.status, sol.reason, sol.iterations) == (
+                "iteration-limit", "blocked-step", 5)
+        else:
+            _assert_same_solve(got, want)
