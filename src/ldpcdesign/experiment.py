@@ -8,7 +8,7 @@ deterministic CSV rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,9 +216,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         for req in reqs:
             res = solve_semi_infinite(req)
             rows.append(_row(cfg, req, "lp", res.status, res.lambda_coeffs))
-    if "sdp" in cfg.solvers():
+    if "sdp" in cfg.solvers() and reqs:
         from .sos import build_sos_problem, solve_sdps
-        sols = solve_sdps([build_sos_problem(req) for req in reqs])
+        # The problems differ only in alpha: one build, its rows shared.
+        prob = build_sos_problem(reqs[0])
+        sols = solve_sdps([replace(prob, alpha=req.alpha) for req in reqs])
         rows += [_row(cfg, req, "sdp", sol.status, sol.lambda_coeffs)
                  for req, (sol, _) in zip(reqs, sols)]
     rows.sort(key=lambda r: (r.alpha, r.solver))

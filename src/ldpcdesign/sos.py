@@ -27,6 +27,11 @@ and every Cholesky, inverse, eigenvalue and Schur solve made once per
 stack, and every alpha with its own step lengths and stopping rule.
 numpy's stacked matmul and linalg gufuncs work slice by slice, so each
 alpha gets the bits it gets alone; ``solve_sdp`` is the one-alpha batch.
+A failure has one path: a LAPACK call of a Newton step that fails on any
+member raises for the whole stack, and that step is taken again member by
+member, so a member that fails alone ends as ``numerical-failure`` and
+every other member gets the bits of its solo step.  (A trial step that
+does not factor in the step-length search is refused, not failed.)
 Infeasibility is decided only by the feasibility floor
 (``certify.feasibility_floor``, from Bernstein coefficients), before any
 solve; an alpha that slips past the floor ends as ``iteration-limit``.
@@ -54,6 +59,11 @@ from .polynomials import Polynomial, bernstein_values
 MATCHING_TOL = 1e-8
 EIG_TOL = 1e-8
 MAX_IPM_ITERS = 500
+# The kernel's tolerances on a member's relative primal, dual and gap
+# residuals (``_BlockSDP.solve``).
+PRIMAL_TOL = 1e-9
+DUAL_TOL = 1e-8
+GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,44 +190,16 @@ def _col(a: np.ndarray, M: np.ndarray) -> np.ndarray:
     return a[:, None, None] if M.ndim == 3 else a[:, None] if M.ndim == 2 else a
 
 
-def _per_member(failed: np.ndarray, f, *stacks):
-    """f(*stacks) on stacks whose first axis runs over the members.
-
-    LAPACK's gufuncs raise LinAlgError for a whole stack when one member
-    fails.  Such a stack is then redone member by member: a member f fails
-    on is flagged in the mask ``failed`` and given a good member's result,
-    which is discarded with it.  Raises LinAlgError only when f fails on
-    every member."""
-    try:
-        return f(*stacks)
-    except np.linalg.LinAlgError:
-        pass
-    parts = []
-    for j in range(len(stacks[0])):
-        try:
-            parts.append(f(*(s[j:j + 1] for s in stacks)))
-        except np.linalg.LinAlgError:
-            failed[j] = True
-            parts.append(None)
-    good = next((p for p in parts if p is not None), None)
-    if good is None:
-        raise np.linalg.LinAlgError("failed on every member")
-    parts = [good if p is None else p for p in parts]
-    if isinstance(good, tuple):
-        return tuple(np.concatenate(field) for field in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs for every member by LAPACK, or least squares for a member
-    whose A is exactly singular."""
+    """A^-1 rhs for every member by LAPACK, or least squares for a lone
+    member whose A is exactly singular.  Raises LinAlgError for a stack
+    with a singular member."""
     try:
         return np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.linalg.lstsq(A[0], rhs[0], rcond=None)[0][None]
-        return np.concatenate([_solve(A[j:j + 1], rhs[j:j + 1])
-                               for j in range(len(A))])
+        if len(A) > 1:
+            raise
+        return np.linalg.lstsq(A[0], rhs[0], rcond=None)[0][None]
 
 
 def _where(mask, a, b):
@@ -225,6 +207,13 @@ def _where(mask, a, b):
     if isinstance(a, list):
         return [_where(mask, s, t) for s, t in zip(a, b)]
     return np.where(_col(mask, a), a, b)
+
+
+def _join(parts):
+    """The (nested lists of) stacks of parts, joined member by member."""
+    if isinstance(parts[0], (list, tuple)):
+        return [_join(field) for field in zip(*parts)]
+    return np.concatenate(parts)
 
 
 def _take(state, keep):
@@ -247,7 +236,9 @@ class _BlockSDP:
     tau and kappa (n,).  Every product is one BLAS call and every
     factorization one LAPACK call per member (``_mv``, ``_dot``, stacked
     matmul and numpy's linalg gufuncs), so a member's iterates do not
-    depend on which other members share its stack.
+    depend on which other members share its stack.  A Newton step that
+    fails on one member raises for the stack; ``solve`` then takes it
+    again member by member.
     """
 
     def __init__(self, V, mult, R, c, b):
@@ -272,25 +263,30 @@ class _BlockSDP:
     @staticmethod
     def _interior(Ms) -> np.ndarray:
         """Per member: does every Gram block factor (is positive definite)
-        and is the orthant vector positive?"""
+        and is the orthant vector positive?  A refused trial step is the
+        normal outcome here, not an error: a stack that does not factor is
+        tested member by member."""
         *blocks, x = Ms
-        failed = np.zeros(len(x), dtype=bool)
-        try:
-            for M in blocks:
-                _per_member(failed, np.linalg.cholesky, M)
-        except np.linalg.LinAlgError:
-            return np.zeros(len(x), dtype=bool)
-        return ~failed & (x > 0.0).all(axis=-1)
+        inside = (x > 0.0).all(axis=-1)
+        for M in blocks:
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                for j in inside.nonzero()[0]:
+                    try:
+                        np.linalg.cholesky(M[j])
+                    except np.linalg.LinAlgError:
+                        inside[j] = False
+        return inside
 
     @classmethod
-    def _max_step(cls, X, Li, dX, failed) -> np.ndarray:
+    def _max_step(cls, X, Li, dX) -> np.ndarray:
         """Per member, the step a <= 1 keeping X + a*dX strictly inside the
         cone, given the inverse Cholesky factors Li of X's Gram blocks."""
         lowest = (dX[-1] / X[-1]).min(axis=-1)
         for L, dM in zip(Li, dX):
             W = L @ dM @ _t(L)
-            lowest = np.minimum(lowest, _per_member(
-                failed, np.linalg.eigvalsh, 0.5 * (W + _t(W)))[:, 0])
+            lowest = np.minimum(lowest, np.linalg.eigvalsh(0.5 * (W + _t(W)))[:, 0])
         # For v < 0 the bound -1/v shrinks as v falls, so the lowest v sets
         # the step; any v >= -1e-300 allows more than 1, and a is 1.
         a = np.minimum(1.0, 0.98 * (-1.0 / np.minimum(lowest, -1e-300)))
@@ -311,12 +307,11 @@ class _BlockSDP:
 
     def _newton_step(self, X, y, Z, tau, kappa, b, rp, Rd, rg, cx, gap, mu):
         """One predictor-corrector step for every member.  Returns the new
-        iterate and two masks: the members on which a factorization failed,
-        and those whose step, even a pure centering one, was blocked at the
-        cone boundary.  Raises LinAlgError when a factorization fails on
-        every member."""
+        iterate and the mask of the members whose step, even a pure
+        centering one, was blocked at the cone boundary.  Raises
+        LinAlgError when a factorization fails on any member, as a step of
+        that member alone does."""
         n, K = rp.shape
-        failed = np.zeros(n, dtype=bool)
         *Xg, x = X
         *Zg, z = Z
         *Rdg, rd = Rd
@@ -324,11 +319,7 @@ class _BlockSDP:
         # X and Z are factored, and their step lengths found, as one stack
         # of 2n members: X's first, then Z's.
         XZ = [np.concatenate(pair) for pair in zip(X, Z)]
-        failed_xz = np.zeros(2 * n, dtype=bool)
-        Li = [_per_member(failed_xz, np.linalg.inv,
-                          _per_member(failed_xz, np.linalg.cholesky, M))
-              for M in XZ[:-1]]
-        failed |= failed_xz[:n] | failed_xz[n:]
+        Li = [np.linalg.inv(np.linalg.cholesky(M)) for M in XZ[:-1]]
         Zi = [_t(L[n:]) @ L[n:] for L in Li]
         xz = x / z
 
@@ -364,19 +355,18 @@ class _BlockSDP:
         # optimum, and the Cholesky factorization of B B^T would fail.
         PVt = []
         for V, Xb in zip(self.V, Xg):
-            theta, Q = _per_member(failed, np.linalg.eigh, Xb)
+            theta, Q = np.linalg.eigh(Xb)
             PVt.append((Q * np.sqrt(np.maximum(theta, 0.0))[:, None, :])
                        @ (_t(Q) @ V.T))
         BBt = (reduce(np.add, (W * np.square(V @ P) for W, V, P
                                in zip(self.weights, self.V, PVt)))
                + (R * x[:, None, :]) @ R.T)
-        LiB = _per_member(failed, np.linalg.inv,
-                          _per_member(failed, np.linalg.cholesky, BBt))
+        LiB = np.linalg.inv(np.linalg.cholesky(BBt))
 
         # The parts of the right-hand sides that do not depend on sigma.
         rpqv, r1_0, rg_rd, tk0 = rp + qv, b * tau[:, None] - rp, rg - s_rd, tau * kappa
 
-        def directions(sigma, bad, affine=None):
+        def directions(sigma, affine=None):
             om = 1.0 - sigma
             smu = sigma * mu
             r1 = om[:, None] * rpqv + r1_0 - smu[:, None] * a0
@@ -392,8 +382,7 @@ class _BlockSDP:
                 tk = dta * dka
                 r1 = r1 + self._apply(M)
                 r2 = r2 - _dot(c, M[-1]) - tk / tau
-            sol = _per_member(bad, _solve, S,
-                              np.concatenate([r1, r2[:, None]], axis=1))
+            sol = _solve(S, np.concatenate([r1, r2[:, None]], axis=1))
             dy, dtau = sol[:, :K], sol[:, K]
             dZ = [_col(om, Rb) * Rb - Ab for Rb, Ab in zip(Rd, self._adjoint(dy))]
             dZ[-1] = dZ[-1] + dtau[:, None] * c
@@ -410,11 +399,8 @@ class _BlockSDP:
             dkappa = (smu - tk0 - tk - kappa * dtau) / tau
             return dX, dy, dZ, dtau, dkappa
 
-        def joint_step(dX, dZ, dtau, dkappa, bad):
-            bad_xz = np.zeros(2 * n, dtype=bool)
-            a = self._max_step(XZ, Li, [np.concatenate(pair) for pair in zip(dX, dZ)],
-                               bad_xz)
-            bad |= bad_xz[:n] | bad_xz[n:]
+        def joint_step(dX, dZ, dtau, dkappa):
+            a = self._max_step(XZ, Li, [np.concatenate(pair) for pair in zip(dX, dZ)])
             a = np.minimum(a[:n], a[n:])
             # A direction dv >= 0 sets no bound: clamped at -1e-200 it gives
             # one above 1 for any v > 1e-200, and tau and kappa stay far
@@ -424,8 +410,8 @@ class _BlockSDP:
             return a
 
         # Predictor (affine) step fixes the centering weight.
-        dXa, _, dZa, dta, dka = directions(np.zeros(n), failed)
-        aff = joint_step(dXa, dZa, dta, dka, failed)
+        dXa, _, dZa, dta, dka = directions(np.zeros(n))
+        aff = joint_step(dXa, dZa, dta, dka)
         gap_aff = (self._inner(
             [Xb + _col(aff, db) * db for Xb, db in zip(X, dXa)],
             [Zb + _col(aff, db) * db for Zb, db in zip(Z, dZa)])
@@ -433,21 +419,15 @@ class _BlockSDP:
         sigma = np.array([min(0.9, max(1e-4, (max(g, 0.0) / d) ** 3))
                           for g, d in zip(gap_aff, gap + tk0)])
 
-        step = directions(sigma, failed, (dXa, dZa, dta, dka))
-        a = joint_step(step[0], step[2], step[3], step[4], failed)
+        step = directions(sigma, (dXa, dZa, dta, dka))
+        a = joint_step(step[0], *step[2:])
         blocked = a <= 1e-8
         if blocked.any():
             # Combined step blocked at the cone boundary; a pure
             # centering step re-opens the interior.  It is taken for the
             # whole stack and kept for the blocked members only.
-            bad = np.zeros(n, dtype=bool)
-            try:
-                centering = directions(np.ones(n), bad)
-                a_c = joint_step(centering[0], *centering[2:], bad)
-            except np.linalg.LinAlgError:
-                bad[:] = True
-                centering, a_c = step, np.zeros(n)
-            failed |= blocked & bad
+            centering = directions(np.ones(n))
+            a_c = joint_step(centering[0], *centering[2:])
             step = [_where(blocked, s, t) for s, t in zip(centering, step)]
             a = np.where(blocked, a_c, a)
             blocked = a <= 1e-8
@@ -456,10 +436,9 @@ class _BlockSDP:
                y + a[:, None] * dy,
                [Zb + _col(a, db) * db for Zb, db in zip(Z, dZ)],
                tau + a * dtau, kappa + a * dkappa)
-        return new, failed, blocked
+        return new, blocked
 
-    def solve(self, gap_tol: float = 1e-8, feas_tol: float = 1e-9,
-              dual_tol: float = 1e-8, max_iters: int = MAX_IPM_ITERS):
+    def solve(self):
         """Homogeneous self-dual path following (HKM direction, Mehrotra
         predictor-corrector), for every member in lockstep.
 
@@ -472,8 +451,9 @@ class _BlockSDP:
         Returns (X, y, Z, iterations, statuses, reasons), stacked in member
         order: the de-homogenized (X, y, Z) of the best iterate each member
         saw, its iteration count, its status and the reason it stopped
-        (``SDPSolution.reason``).  A factorization that fails on a member's
-        iterate ends that member; it never raises.
+        (``SDPSolution.reason``).  A step that raises for a stack is taken
+        again member by member; a member whose own step raises ends with
+        reason ``factorization``.  It never raises.
 
         The dual residual gets a looser tolerance than the primal one: it
         only backs the duality-gap bound on the reported objective, while
@@ -490,7 +470,7 @@ class _BlockSDP:
         b = self.b
         b_norm = 1.0 + np.sqrt(_dot(b, b))
         c_norm = 1.0 + float(np.abs(self.c).max())
-        tols = np.array([feas_tol, dual_tol, gap_tol])
+        tols = np.array([PRIMAL_TOL, DUAL_TOL, GAP_TOL])
         # Per member: its best iterate [*X, y, *Z] / tau, with the relative
         # residuals and merit there, and the iterations since the merit
         # fell.  The first iterate is finite and always improves on inf.
@@ -515,7 +495,7 @@ class _BlockSDP:
                 reasons[k] = why
 
         it = 0
-        for it in range(1, max_iters + 1):
+        for it in range(1, MAX_IPM_ITERS + 1):
             cx = _dot(self.c, X[-1])
             by = _dot(b, y)
             rp = b * tau[:, None] - self._apply(X)
@@ -550,28 +530,43 @@ class _BlockSDP:
             converged = (rels <= 0.01 * tols).all(axis=1)
             collapse = tau <= 1e-9 * np.maximum(1.0, kappa)
             go = ~(converged | collapse | (stall >= 30))
-            ended = ~go
+            stepped = go.copy()  # the members that get a new iterate
             if go.any():
                 state = [X, y, Z, tau, kappa, b, rp, Rd, rg, cx, gap, mu]
+                state = state if go.all() else _take(state, go)
                 try:
-                    new, failed, blocked = self._newton_step(
-                        *(state if go.all() else _take(state, go)))
+                    new, blocked = self._newton_step(*state)
                 except np.linalg.LinAlgError:
-                    failed = blocked = np.ones(np.count_nonzero(go), dtype=bool)
-                ended[go] = failed | blocked
+                    # A factorization failed on some member.  Each member
+                    # of the stack takes its step again alone (a stack of
+                    # one has failed alone already): a member whose own
+                    # step fails ends, and every other gets its solo bits.
+                    members = go.nonzero()[0]
+                    stepped[members] = False
+                    parts = []
+                    for j, k in enumerate(members if len(members) > 1 else ()):
+                        try:
+                            parts.append(self._newton_step(*_take(state, slice(j, j + 1))))
+                            stepped[k] = True
+                        except np.linalg.LinAlgError:
+                            pass
+                    if parts:
+                        new, blocked = _join(parts)
+            ended = ~stepped
+            if stepped.any():
+                ended[stepped] = blocked
             if ended.any():
                 reason = np.full(len(ids), "", dtype=object)
                 reason[stall >= 30] = "stall"
                 reason[collapse] = "tau-collapse"
                 reason[converged] = "converged"
-                if go.any():
-                    reason[go] = np.where(failed, "factorization",
-                                          np.where(blocked, "blocked-step", ""))
+                reason[go & ~stepped] = "factorization"
+                reason[stepped & ended] = "blocked-step"
                 keep = ~ended
                 finish(ended, reason, it)
                 if not keep.any():
                     break
-                new = _take(list(new), keep[go])
+                new = _take(list(new), keep[stepped])
                 b, b_norm, ids, best, best_rels, best_merit, stall = _take(
                     [b, b_norm, ids, best, best_rels, best_merit, stall], keep)
             X, y, Z, tau, kappa = new
@@ -631,7 +626,7 @@ def _solutions(probs, sdp: _BlockSDP, X, Z, iterations, statuses, reasons):
             for j, p in enumerate(probs)]
 
 
-def solve_sdps(probs, tol: float = 1e-8):
+def solve_sdps(probs):
     """The rate-maximizing SDPs of problems that share rho, epsilon and d_v
     (a sweep over alpha), in one lockstep interior-point solve.
 
@@ -661,16 +656,16 @@ def solve_sdps(probs, tol: float = 1e-8):
     if above:
         solved = [probs[k] for k in above]
         sdp = _assemble(solved)
-        X, _, Z, *stops = sdp.solve(gap_tol=tol)
+        X, _, Z, *stops = sdp.solve()
         for k, result in zip(above, _solutions(solved, sdp, X, Z, *stops)):
             results[k] = result
     return results
 
 
-def solve_sdp(prob: SOSProblem, tol: float = 1e-8):
+def solve_sdp(prob: SOSProblem):
     """The rate-maximizing SDP, one interior-point solve: ``solve_sdps`` of
     the one problem.  Returns (SDPSolution, SOSCertificate | None)."""
-    return solve_sdps([prob], tol)[0]
+    return solve_sdps([prob])[0]
 
 
 def check_certificate(q, cert: SOSCertificate) -> float:
@@ -698,9 +693,5 @@ def check_certificate(q, cert: SOSCertificate) -> float:
     return float(_nodal_bound(cert.gram_blocks, m, bernstein_values(q, _nodes(m))))
 
 
-def _min_eigenvalue(blocks) -> float:
-    return min(float(np.linalg.eigvalsh(G)[0]) for G in blocks if G.size > 0)
-
-
 def certificate_min_eigenvalue(cert: SOSCertificate) -> float:
-    return _min_eigenvalue(cert.gram_blocks)
+    return min(float(np.linalg.eigvalsh(G)[0]) for G in cert.gram_blocks if G.size > 0)

@@ -228,7 +228,7 @@ def test_semi_infinite_takes_floor_from_bernstein_coefficients():
 
 @pytest.mark.parametrize("design", AT_FLOOR_DESIGNS)
 def test_semi_infinite_solves_at_the_floor(design):
-    # The rhs backs off by tol / 2 but never below the row's value at all
+    # The rhs backs off by SLACK_TOL / 2 but never below the row's value at all
     # mass on d_v, so that lambda stays grid-feasible down to the floor.
     rho_map, epsilon, d_v = design
     rho = poly_from_edge_coeffs(rho_map)
@@ -284,11 +284,12 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
         assert cuts[k - 1][3] == pytest.approx(cold, abs=1e-12)
 
 
-def _grid_lp(rho, epsilon, d_v, alpha, tol=1e-9):
+def _grid_lp(rho, epsilon, d_v, alpha):
     """The first LP of the cut loop: the limit row and the default grid,
-    with the rhs backed off by tol / 2 but never below all mass on d_v."""
+    with the rhs backed off by SLACK_TOL / 2 but never below all mass on
+    d_v."""
     A = lp._rows(rho, epsilon, d_v, np.concatenate([[0.0], chebyshev_grid()]))
-    return lp._lp(A, np.maximum(alpha - 0.5 * tol, A[:, -1]))
+    return lp._lp(A, np.maximum(alpha - 0.5 * lp.SLACK_TOL, A[:, -1]))
 
 
 def _top_degree_panel():

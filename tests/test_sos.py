@@ -417,8 +417,10 @@ def _assert_same_solve(got, want):
 
 def _lockstep_panels():
     """Batches of (rho, epsilon, d_v, alpha) sharing rho, epsilon and d_v:
-    the reference sweep, each near-floor design just above its floor, and
-    each hard design at its alpha and 0.05 either side."""
+    the reference sweep, each near-floor design just above its floor, each
+    hard design at its alpha and 0.05 either side, and two d_v = 2 batches
+    (floors 0.5 and 0.9), whose Schur matrices turn exactly singular, so
+    that their members take the least-squares path."""
     yield [(RHO_X3, 0.3, 6, alpha) for alpha in REFERENCE_ALPHAS]
     for rho, epsilon, d_v in NEAR_FLOOR_DESIGNS:
         floor = feasibility_floor(rho, epsilon, d_v)
@@ -427,6 +429,8 @@ def _lockstep_panels():
         rho = poly_from_edge_coeffs({d_c: 1.0})
         yield [(rho, epsilon, d_v, a)
                for a in (alpha - 0.05, alpha, min(alpha + 0.05, 1.0))]
+    yield [(RHO_X, 0.5, 2, alpha) for alpha in (0.6, 0.8, 1.0)]
+    yield [(RHO_X3, 0.3, 2, alpha) for alpha in (0.92, 0.96, 1.0)]
 
 
 @pytest.mark.parametrize("panel", list(_lockstep_panels()))
@@ -490,17 +494,25 @@ def test_solve_sdps_needs_one_rho_epsilon_and_d_v():
     assert [sol.status for sol, _ in solve_sdps([prob, same])] == ["optimal"] * 2
 
 
-def test_factorization_failure_ends_only_its_member(monkeypatch):
-    # A Cholesky factorization that fails on one member of a batch, inside
-    # a Newton step, ends that member as a numerical failure; every other
-    # member goes on and ends exactly as it does alone.
+# (LAPACK function, its call in the step, matrices per member in the stack)
+@pytest.mark.parametrize("name, call, per_member", [
+    ("cholesky", 1, 2),  # the first Gram blocks of X and Z, as one stack
+    ("cholesky", 3, 1),  # B B^T, after both Gram blocks' factorizations
+    ("eigh", 1, 1),  # the X^(1/2) scaling of the first Gram block
+    ("eigvalsh", 1, 2),  # the predictor's step search on the first block
+], ids=["xz-cholesky", "bbt-cholesky", "eigh", "eigvalsh"])
+def test_factorization_failure_ends_only_its_member(monkeypatch, name, call, per_member):
+    # A LAPACK call that fails on one member of a batch, inside a Newton
+    # step, ends that member as a numerical failure; the step is taken
+    # again member by member, and every other member goes on and ends
+    # exactly as it does alone.
     probs = [build_sos_problem(SolveRequest(rho=RHO_X3, epsilon=0.3,
                                             alpha=alpha, d_v=6))
              for alpha in REFERENCE_ALPHAS]
     alone = [solve_sdp(prob) for prob in probs]
-    target, steps, victim = 4, [0], []
+    target, steps, calls, victim = 4, [0], [0], []
     newton_step = sos._BlockSDP._newton_step
-    cholesky = np.linalg.cholesky
+    lapack = getattr(np.linalg, name)
 
     def counting(self, *args):
         steps[0] += 1
@@ -508,18 +520,21 @@ def test_factorization_failure_ends_only_its_member(monkeypatch):
 
     def flaky(M):
         if steps[0] == 3 and not victim:
-            # The third Newton step's first factorization: the first Gram
-            # block of X, then of Z, of every member; X's of the target
-            # fails, as a stack and again alone.
-            assert M.shape[0] == 2 * len(probs)
-            victim.append(M[target].copy())
+            calls[0] += 1
+            if calls[0] == call:
+                # The third Newton step's call on the whole stack: one
+                # matrix per member, or X's of every member, then Z's.
+                # The target's fails here and again in its own step.
+                assert M.shape[0] == per_member * len(probs)
+                victim.append(M[target].copy())
+                raise np.linalg.LinAlgError("injected failure")
+        if victim and any(np.array_equal(Mj, victim[0])
+                          for Mj in M.reshape(-1, *M.shape[-2:])):
             raise np.linalg.LinAlgError("injected failure")
-        if victim and M.shape[0] == 1 and np.array_equal(M[0], victim[0]):
-            raise np.linalg.LinAlgError("injected failure")
-        return cholesky(M)
+        return lapack(M)
 
     monkeypatch.setattr(sos._BlockSDP, "_newton_step", counting)
-    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    monkeypatch.setattr(np.linalg, name, flaky)
     batch = solve_sdps(probs)
     assert victim
     for k, (got, want) in enumerate(zip(batch, alone)):
@@ -530,6 +545,16 @@ def test_factorization_failure_ends_only_its_member(monkeypatch):
             assert cert is not None
         else:
             _assert_same_solve(got, want)
+
+
+def test_interior_judges_each_member_alone():
+    # A trial step refused for one member, whose Gram block does not
+    # factor or whose orthant vector is not positive, is refused for that
+    # member only.
+    good, indefinite = np.eye(2), np.diag([1.0, -1.0])
+    inside = sos._BlockSDP._interior([np.array([good, indefinite, good, good]),
+                                      np.array([[1.0], [1.0], [0.0], [1.0]])])
+    assert inside.tolist() == [True, False, False, True]
 
 
 def test_sweep_alpha_order_does_not_change_rows(tmp_path):
