@@ -11,10 +11,11 @@ epsilon * rho'(1), which the raw constraint leaves vacuous.
 
 All certifiers work on Bernstein coefficients on [0, 1]
 (``polynomials.bernstein_quotient_sum`` and ``BernsteinQuotientSum``),
-built from nonnegative sums, with one de Casteljau subdivision loop:
+built from nonnegative sums, through one branch and bound:
 
-- ``_minimum`` is the branch and bound under the two below; the decoding
-  threshold (``desim.threshold``) is one over the maximum it finds of
+- ``_minimum`` is that branch and bound, one loop of breadth-first de
+  Casteljau subdivision, under the two below; the decoding threshold
+  (``desim.threshold``) is one over the maximum it finds of
   sum_i lambda_i g_i(x) / x at epsilon = 1, in closed form.
 - ``bernstein_margin`` bounds the minimum of the slack and locates it; the
   LP cut loop (``lp.solve_semi_infinite``) certifies every candidate lambda
@@ -30,7 +31,7 @@ built from nonnegative sums, with one de Casteljau subdivision loop:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -82,62 +83,42 @@ def min_normalized_slack(
     return bernstein_margin(coeffs, bernstein_halves(coeffs.size - 1))
 
 
-def _subdivide(coeffs: np.ndarray, halves: np.ndarray,
-               open_pieces: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-               ) -> np.ndarray:
-    """Breadth-first de Casteljau subdivision of the Bernstein coefficients
-    ``coeffs`` on [0, 1].  At each level ``open_pieces(pieces, lefts,
-    width)`` takes the stacked pieces, the left ends of their intervals and
-    the intervals' common width, and returns a boolean mask of the pieces
-    still to be split; those are split at their midpoints by ``halves``
-    (``bernstein_halves`` of the same degree).  Returns an empty stack once
-    every piece is settled, or the open pieces left when a cap ends the loop
-    (MAX_SPLIT_DEPTH splits, or a split that would hold more than MAX_PIECES
-    pieces).
-    """
-    pieces = np.asarray(coeffs, dtype=float)[None, :]
-    lefts = np.zeros(1)
-    width = 1.0
-    depth = 0
-    while True:
-        keep = open_pieces(pieces, lefts, width)
-        pieces, lefts = pieces[keep], lefts[keep]
-        if not pieces.size or depth == MAX_SPLIT_DEPTH or 2 * len(pieces) > MAX_PIECES:
-            return pieces
-        pieces = bernstein_split(pieces, halves)
-        width *= 0.5
-        lefts = np.repeat(lefts, 2)
-        lefts[1::2] += width
-        depth += 1
-
-
 def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, float]:
     """Branch and bound for the minimum over [0, 1] of the polynomial with
     Bernstein coefficients ``coeffs`` (``halves`` of the same degree).
 
-    The end coefficients of a piece are values of the polynomial, and its
-    smallest coefficient bounds it from below on the piece.  Pieces whose
-    bound lies within FLOOR_TOL of the best value are dropped, the rest are
-    split.  Returns (value, location, bound): the smallest value found, the
-    point where the polynomial takes it, and a bound such that the minimum
-    lies in [bound - FLOOR_TOL, value].  Unless a subdivision cap ends the
-    search first, bound is the value itself, which is then within FLOOR_TOL
-    above the minimum, not below it; a cap that leaves pieces open lowers
-    bound to their smallest coefficient.
+    Breadth first: at each level every piece, of a common width, has its
+    end coefficients, which are values of the polynomial, read for the
+    smallest value, and its smallest coefficient bounds it from below.
+    Pieces whose bound lies within FLOOR_TOL of the best value are dropped,
+    the rest are split at their midpoints by de Casteljau (``halves``),
+    until no piece is left, MAX_SPLIT_DEPTH splits are made, or a split
+    would hold more than MAX_PIECES pieces.  Returns (value, location,
+    bound): the smallest value found, the point where the polynomial takes
+    it, and a bound such that the minimum lies in [bound - FLOOR_TOL,
+    value].  Unless a cap ends the search first, bound is the value itself,
+    which is then within FLOOR_TOL above the minimum, not below it; a cap
+    that leaves pieces open lowers bound to their smallest coefficient.
     """
+    pieces = np.asarray(coeffs, dtype=float)[None, :]
+    lefts = np.zeros(1)
+    width = 1.0
     best, where = np.inf, 0.0
-
-    def may_undercut(pieces: np.ndarray, lefts: np.ndarray, width: float) -> np.ndarray:
-        nonlocal best, where
+    for depth in range(MAX_SPLIT_DEPTH + 1):
         ends = pieces[:, [0, -1]]
         k = int(np.argmin(ends))
         if ends.flat[k] < best:
             best = float(ends.flat[k])
             where = float(lefts[k // 2] + (k % 2) * width)
-        return pieces.min(axis=1) < best - FLOOR_TOL
-
-    left = _subdivide(coeffs, halves, may_undercut)
-    return best, where, min(best, float(left.min())) if left.size else best
+        keep = pieces.min(axis=1) < best - FLOOR_TOL
+        pieces, lefts = pieces[keep], lefts[keep]
+        if not pieces.size or depth == MAX_SPLIT_DEPTH or 2 * len(pieces) > MAX_PIECES:
+            break
+        pieces = bernstein_split(pieces, halves)
+        width *= 0.5
+        lefts = np.repeat(lefts, 2)
+        lefts[1::2] += width
+    return best, where, float(pieces.min()) if pieces.size else best
 
 
 def bernstein_margin(coeffs: np.ndarray, halves: np.ndarray) -> MarginReport:

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("lp", "sdp", "both"))
     p.add_argument("--out-csv")
     p.add_argument("--out-svg")
-    p.set_defaults(func=cmd_sweep, config_flag=False)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="DE trace for a given lambda, rho, epsilon")
     p.add_argument("--lambda", dest="lam", required=True)

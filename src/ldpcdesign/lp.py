@@ -50,7 +50,6 @@ _MAX_PIVOTS = 200_000
 # Degenerate pivots in a row after which Bland's rule replaces Dantzig's
 # until a pivot makes progress; Bland's rule cannot cycle.
 _DEGENERATE_RUN = 50
-_BLOCK_ENTRIES = 32_768  # 256 KB of float64 per pivot-update temporary
 # A basic lambda must sum to 1 and be nonnegative to this before it is
 # clipped, renormalised and certified.
 _SIMPLEX_TOL = 1e-9
@@ -74,6 +73,8 @@ class SolveRequest:
     grid: np.ndarray = field(default_factory=chebyshev_grid)
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.d_v < 2:
@@ -92,9 +93,8 @@ class SolveRequest:
 class LPStandardForm:
     """max c.x  s.t.  A x <= b,  E x = d,  x >= 0.
 
-    Input of ``simplex_solve``; like it, no solver path uses it.  It
-    serves acceptance criteria 7 and 8 and the benchmark's tracer
-    (``bench/tracing.py``).
+    The cut loop builds one for its first LP (``_lp``), which
+    ``_top_degree_start`` solves; ``simplex_solve`` takes any.
     """
 
     c: np.ndarray
@@ -163,41 +163,35 @@ class _SimplexState:
     """Dense tableau T = [B^-1 N | B^-1 b] with its basis.
 
     ``run`` is the primal simplex and ``add_row`` adds a constraint to an
-    optimal tableau and re-optimises it by the dual simplex.  The entering
-    column is priced by Dantzig's rule (most negative reduced cost, lowest
-    index on ties); after _DEGENERATE_RUN degenerate pivots in a row,
-    Bland's rule (lowest improving index) takes over until a pivot makes
-    progress.  The leaving row is the least ratio, ties broken by the
+    optimal tableau and re-optimises it by the dual simplex.  Every column
+    may enter: both starts (``_top_degree_start``, ``_two_phase`` after
+    phase 1) hand over a tableau of structurals, slacks and rhs.  The
+    entering column is priced by Dantzig's rule (most negative reduced
+    cost, lowest index on ties); after _DEGENERATE_RUN degenerate pivots in
+    a row, Bland's rule (lowest improving index) takes over until a pivot
+    makes progress.  The leaving row is the least ratio, ties broken by the
     smallest basic-variable index.
 
-    A pivot divides the pivot row, then applies a rank-1 update to the row
-    slices above and below it, one block of rows at a time.  Every entry
-    gets the same IEEE multiply and subtract as a row-by-row elimination.
-    A block holds about _BLOCK_ENTRIES entries, so the product temporary
-    stays in cache: a tall cutting-plane tableau takes one block per side,
-    the wide tableau of a dense-grid dual one row at a time.  Basic slices
-    also avoid the copies of a fancy-indexed gather/scatter.
+    A pivot divides the pivot row, then applies one rank-1 update to the
+    rows above it and one to the rows below it.  Every entry gets the same
+    IEEE multiply and subtract as a row-by-row elimination, and the basic
+    slices avoid the copies of a fancy-indexed gather/scatter.
     """
 
     def __init__(self, T: np.ndarray, basis: np.ndarray):
         self.T = T
         self.basis = basis
         self.pivots = 0
-        # The objective and blocked columns of the last ``run``, which
-        # ``add_row`` re-optimises.
-        self.cost = np.zeros(T.shape[1])
-        self.blocked: set = set()
+        self.cost = np.zeros(T.shape[1])  # the last ``run``'s, for ``add_row``
 
-    def run(self, cost: np.ndarray, blocked: set) -> str:
-        """Minimize cost.x from the current feasible basis, never entering a
-        blocked column.  Returns optimal|unbounded."""
-        self.cost, self.blocked = cost, blocked
-        skip = np.fromiter(blocked, dtype=int, count=len(blocked))
+    def run(self, cost: np.ndarray) -> str:
+        """Minimize cost.x from the current feasible basis.  Returns
+        optimal|unbounded."""
+        self.cost = cost
         T, basis = self.T, self.basis
         degenerate = 0
         while True:
             reduced = self._reduced()
-            reduced[skip] = 0.0
             if degenerate < _DEGENERATE_RUN:
                 enter = int(np.argmin(reduced))
             else:
@@ -235,15 +229,12 @@ class _SimplexState:
         self.T = T
         self.basis = np.append(self.basis, width - 1)
         self.cost = np.insert(self.cost, width - 1, 0.0)
-        skip = np.fromiter(self.blocked, dtype=int, count=len(self.blocked))
         while True:
             leave = int(np.argmin(T[:, -1]))
             if T[leave, -1] >= -_PIVOT_TOL:
-                return self.run(self.cost, self.blocked)
+                return self.run(self.cost)
             row = T[leave, :-1]
-            candidates = row < -_PIVOT_TOL
-            candidates[skip] = False
-            cols = np.nonzero(candidates)[0]
+            cols = np.nonzero(row < -_PIVOT_TOL)[0]
             if cols.size == 0:
                 return "infeasible"
             ratios = np.maximum(self._reduced()[cols], 0.0) / -row[cols]
@@ -262,87 +253,63 @@ class _SimplexState:
     def _pivot(self, row: int, col: int):
         if self.pivots >= _MAX_PIVOTS:
             raise RuntimeError("simplex pivot limit exceeded")
-        T, basis = self.T, self.basis
+        T = self.T
         T[row] /= T[row, col]
-        r = T[row]
-        step = max(1, _BLOCK_ENTRIES // T.shape[1])
         for side in (T[:row], T[row + 1:]):
-            for i in range(0, side.shape[0], step):
-                block = side[i:i + step]
-                block -= block[:, col, None] * r
-        basis[row] = col
+            side -= side[:, col, None] * T[row]
+        self.basis[row] = col
         self.pivots += 1
 
 
 def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     """Cold two-phase primal simplex on lp, as a minimisation of -c.x.
-    Returns the final tableau and optimal|infeasible|unbounded.  The kernel
-    of ``simplex_solve``; the cut loop starts from ``_top_degree_start``
-    instead."""
+    Phase 1 drives out an artificial column in each row without a basic
+    slack; on a feasible lp they are then deleted, so phase 2 and the
+    tableau it leaves hold the structurals, the slacks and the rhs, the
+    layout of ``_top_degree_start``.  Returns the final tableau and
+    optimal|infeasible|unbounded.  The kernel of ``simplex_solve``; the cut
+    loop starts from ``_top_degree_start`` instead."""
     n = lp.c.size
     m1, m2 = lp.b.size, lp.d.size
     m = m1 + m2
+    width = n + m1
 
-    # Equality system [A I; E 0] with rows flipped to keep rhs >= 0.
-    body = np.zeros((m, n + m1))
+    # Equality system [A I | b; E 0 | d] with rows flipped to keep rhs >= 0.
+    body = np.zeros((m, width + 1))
     body[:m1, :n] = lp.A
-    body[:m1, n:] = np.eye(m1)
+    body[:m1, n:width] = np.eye(m1)
     body[m1:, :n] = lp.E
-    rhs = np.concatenate([lp.b, lp.d]).astype(float)
-    neg = rhs < 0.0
+    body[:, -1] = np.concatenate([lp.b, lp.d])
+    neg = body[:, -1] < 0.0
     body[neg] *= -1.0
-    rhs[neg] = -rhs[neg]
 
     # Start from slack columns where they form identity; artificials elsewhere.
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    extra = []
-    for i in range(m):
-        if i < m1 and not neg[i]:
-            basis[i] = n + i
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            basis[i] = n + m1 + len(art_cols)
-            art_cols.append(basis[i])
-    ncols = n + m1 + len(art_cols)
-    T = np.zeros((m, ncols + 1))
-    T[:, : n + m1] = body
-    for k, col in enumerate(extra):
-        T[:, n + m1 + k] = col
-    T[:, -1] = rhs
-
+    art = np.flatnonzero(neg | (np.arange(m) >= m1))
+    T = np.hstack([body[:, :-1], np.eye(m)[:, art], body[:, -1:]])
+    basis = np.arange(n, n + m)
+    basis[art] = width + np.arange(art.size)
     state = _SimplexState(T, basis)
-    art_set = set(art_cols)
 
-    if art_cols:
-        phase1 = np.zeros(ncols + 1)
-        for j in art_cols:
-            phase1[j] = 1.0
-        state.run(phase1, blocked=set())
+    if art.size:
+        phase1 = np.zeros(T.shape[1])
+        phase1[width:-1] = 1.0
+        state.run(phase1)
         if float(phase1[basis] @ T[:, -1]) > 1e-8:
             return state, "infeasible"
         # Drive remaining basic artificials out or drop their (redundant) rows.
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = -1
-                for j in range(n + m1):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    state._pivot(i, pivot_col)
-                else:
-                    keep[i] = False
-        if not np.all(keep):
-            state.T = T[keep]
-            state.basis = basis[keep]
+        for i in np.flatnonzero(basis >= width):
+            cols = np.flatnonzero(np.abs(T[i, :width]) > _PIVOT_TOL)
+            if cols.size:
+                state._pivot(i, int(cols[0]))
+            else:
+                keep[i] = False
+        state.T = np.delete(T[keep], np.s_[width:-1], axis=1)
+        state.basis = basis[keep]
 
-    phase2 = np.zeros(state.T.shape[1])
+    phase2 = np.zeros(width + 1)
     phase2[:n] = -lp.c
-    return state, state.run(phase2, blocked=art_set)
+    return state, state.run(phase2)
 
 
 def _top_degree_start(lp: LPStandardForm) -> tuple[_SimplexState, str]:
@@ -363,7 +330,7 @@ def _top_degree_start(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     state = _SimplexState(T, np.append(np.arange(n, n + m), n - 1))
     cost = np.zeros(n + m + 1)
     cost[:n] = -lp.c
-    return state, state.run(cost, blocked=set())
+    return state, state.run(cost)
 
 
 def simplex_solve(lp: LPStandardForm):

@@ -250,6 +250,21 @@ def test_cli_bad_config_file_exits_2(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["1.0", "0"])
+def test_cli_epsilon_outside_the_open_interval_exits_2(tmp_path, capsys, epsilon):
+    # epsilon = 1 leaves no capacity to measure a gap against; both commands
+    # refuse it, and epsilon = 0, before any solve.
+    code = main(["optimize", "--rho", "x", "--epsilon", epsilon, "--dv-max", "3",
+                 "--alpha", "1.0"])
+    assert code == 2 and "error: epsilon" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("rho = x^3\nepsilon = 0.3\ndv_max = 4\nalpha = 0.5\nsolver = lp\n"
+                   f"out_csv = {tmp_path}/out.csv\nout_svg = {tmp_path}/out.svg\n")
+    assert main(["sweep", str(cfg), "--epsilon", epsilon]) == 2
+    assert "error: epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_sweep_writes_outputs(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("rho = x^3\nepsilon = 0.3\ndv_max = 4\n"

@@ -51,6 +51,9 @@ def test_chebyshev_grid_shape():
 
 
 def test_request_validation():
+    for epsilon in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            SolveRequest(rho=RHO_X3, epsilon=epsilon, alpha=0.5, d_v=6)
     with pytest.raises(ValueError):
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.0, d_v=6)
     with pytest.raises(ValueError):
@@ -90,7 +93,7 @@ def test_build_lp_alpha_scales_rhs():
 
 
 def _pivot_by_rows(T, row, col):
-    """Row-by-row elimination: the referee for the blocked pivot."""
+    """Row-by-row elimination: the referee for the pivot's rank-1 updates."""
     T[row] /= T[row, col]
     for i in range(T.shape[0]):
         if i != row and T[i, col] != 0.0:
@@ -100,8 +103,8 @@ def _pivot_by_rows(T, row, col):
 @pytest.mark.parametrize("shape", [(65, 78), (40, 2000), (5, 20_013)])
 def test_pivot_matches_row_elimination(shape):
     # Tall tableaux come from the cutting-plane LPs, wide ones from a
-    # dense-grid dual; the three shapes update in one block per side, in
-    # several blocks with a remainder, and a row at a time.  Successive
+    # dense-grid dual, up to the 20 013 columns of the 20 000-point oracle;
+    # each side of the pivot row takes one rank-1 update.  Successive
     # pivots on one tableau, with the pivot row first, last and inside, and
     # zeros in the pivot column.
     m, n = shape
@@ -121,15 +124,29 @@ def test_pivot_matches_row_elimination(shape):
         assert state.basis[row] == col and state.pivots == k + 1
 
 
-def test_bland_entering_column_skips_blocked():
-    # Columns 0 and 1 improve equally; the tie goes to the lower index
-    # unless it is blocked (as the artificial columns are in phase 2).
-    for blocked, entered in ((set(), 0), ({0}, 1)):
-        T = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
-        state = _SimplexState(T, np.array([3]))
-        cost = np.array([-1.0, -1.0, 0.0, 0.0, 0.0])
-        assert state.run(cost, blocked) == "optimal"
-        assert state.basis.tolist() == [entered] and state.pivots == 1
+def test_entering_column_tie_goes_to_the_lower_index():
+    # Columns 0 and 1 improve equally; the tie goes to the lower index.
+    T = np.array([[1.0, 1.0, 1.0, 1.0, 1.0]])
+    state = _SimplexState(T, np.array([3]))
+    cost = np.array([-1.0, -1.0, 0.0, 0.0, 0.0])
+    assert state.run(cost) == "optimal"
+    assert state.basis.tolist() == [0] and state.pivots == 1
+
+
+def test_two_phase_deletes_the_artificial_columns():
+    # A negative-rhs row and an equality row each start on an artificial
+    # column; phase 1 drives them out and phase 2 runs on the structurals,
+    # the slacks and the rhs alone, to the optimum x = (1, 1, 0).
+    problem = LPStandardForm(
+        c=np.array([1.0, 2.0, -3.0]),
+        A=np.array([[1.0, 1.0, 0.0], [-1.0, 0.0, -1.0]]), b=np.array([2.0, -0.5]),
+        E=np.array([[1.0, 0.0, 1.0]]), d=np.array([1.0]))
+    state, status = lp._two_phase(problem)
+    n, m1 = 3, 2
+    assert status == "optimal"
+    assert state.T.shape == (3, n + m1 + 1)
+    assert np.all(state.basis < n + m1)
+    assert state.values(n) == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_simplex_textbook():
