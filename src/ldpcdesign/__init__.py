@@ -3,7 +3,7 @@ fast-convergence density-evolution constraint."""
 
 from .certify import MarginReport, feasibility_floor, min_normalized_slack
 from .desim import DETrace, ThresholdResult, de_step, de_trace, empirical_contraction, threshold
-from .experiment import ExperimentConfig, SweepRow, emit_csv, parse_config, render_config, run_sweep
+from .experiment import ExperimentConfig, SweepRow, emit_csv, parse_config, run_sweep
 from .lp import (LPStandardForm, OptimizationResult, SolveRequest, build_discretized_lp,
                  chebyshev_grid, simplex_solve, solve_semi_infinite)
 from .polynomials import (ChannelSpec, DegreeDistribution, Polynomial, RateReport,
@@ -26,7 +26,7 @@ def __getattr__(name):
 __all__ = [
     "MarginReport", "feasibility_floor", "min_normalized_slack",
     "DETrace", "ThresholdResult", "de_step", "de_trace", "empirical_contraction", "threshold",
-    "ExperimentConfig", "SweepRow", "emit_csv", "parse_config", "render_config", "run_sweep",
+    "ExperimentConfig", "SweepRow", "emit_csv", "parse_config", "run_sweep",
     "LPStandardForm", "OptimizationResult", "SolveRequest", "build_discretized_lp",
     "chebyshev_grid", "simplex_solve", "solve_semi_infinite",
     "ChannelSpec", "DegreeDistribution", "Polynomial", "RateReport",

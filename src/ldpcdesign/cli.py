@@ -12,8 +12,8 @@ import sys
 
 from . import certify
 from .desim import de_trace, threshold as de_threshold
-from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_alpha_values,
-                         parse_config, parse_degree_poly, run_sweep)
+from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_config,
+                         parse_degree_poly, run_sweep)
 from .lp import SolveRequest, solve_semi_infinite
 from .polynomials import (DegreeDistribution, Polynomial, bernstein_quotient_sum,
                           poly_from_edge_coeffs, rate_and_gap)
@@ -24,37 +24,35 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _add_solve_flags(p: argparse.ArgumentParser, with_alpha: bool = True):
-    p.add_argument("--rho", help="check-side polynomial, e.g. x^3 or 4:0.5,5:0.5")
-    p.add_argument("--epsilon", type=float, help="channel erasure probability")
-    p.add_argument("--dv-max", type=int, help="maximum variable-node degree")
-    if with_alpha:
-        p.add_argument("--alpha", type=float, help="convergence factor in (0, 1]")
-    p.add_argument("--config", help="config file supplying defaults for flags")
+# The config keys each command takes as flags; ``--dv-max 8`` replaces the
+# config's ``dv_max = 8`` line, and goes through the same check.
+SOLVE_KEYS = ("rho", "epsilon", "dv_max", "alpha")
+SWEEP_KEYS = SOLVE_KEYS + ("solver", "out_csv", "out_svg")
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+def _add_key_flags(p: argparse.ArgumentParser, keys):
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), metavar="TEXT",
+                       help=f"replaces the config's '{key} = TEXT' line")
+
+
+def _config(args, keys) -> ExperimentConfig:
+    """The config file, if one was given, with the set flags of ``keys``
+    replacing its lines."""
+    text = ""
+    if args.config:
+        with open(args.config) as fh:
+            text = fh.read()
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return parse_config(text, flags)
 
 
 def _solve_request(args) -> SolveRequest:
-    cfg = _load_config(args.config) if args.config else None
-    rho_spec = args.rho
-    rho_coeffs = parse_degree_poly(rho_spec) if rho_spec else (
-        cfg.rho_coeffs if cfg else None)
-    epsilon = args.epsilon if args.epsilon is not None else (
-        cfg.epsilon if cfg else None)
-    dv = args.dv_max if args.dv_max is not None else (cfg.dv_max if cfg else None)
-    alpha = getattr(args, "alpha", None)
-    if alpha is None and cfg and len(cfg.alpha_values) == 1:
-        alpha = cfg.alpha_values[0]
-    for name, val in (("rho", rho_coeffs), ("epsilon", epsilon),
-                      ("dv-max", dv), ("alpha", alpha)):
-        if val is None:
-            raise ConfigError(f"missing required value for {name}")
-    return SolveRequest(rho=poly_from_edge_coeffs(rho_coeffs),
-                        epsilon=epsilon, alpha=alpha, d_v=dv)
+    cfg = _config(args, SOLVE_KEYS)
+    if len(cfg.alpha_values) != 1:
+        raise ConfigError(f"alpha: one value needed, got {len(cfg.alpha_values)}")
+    return SolveRequest(rho=poly_from_edge_coeffs(cfg.rho_coeffs), epsilon=cfg.epsilon,
+                        alpha=cfg.alpha_values[0], d_v=cfg.dv_max)
 
 
 def _print_solution(lam: dict, rho: Polynomial, epsilon: float, alpha: float):
@@ -89,22 +87,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    if args.rho:
-        cfg.rho_coeffs = parse_degree_poly(args.rho)
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-    if args.dv_max is not None:
-        cfg.dv_max = args.dv_max
-    if args.alpha:
-        cfg.alpha_values = parse_alpha_values(args.alpha)
-    if args.solver:
-        cfg.solver = args.solver
-    if args.out_csv:
-        cfg.out_csv = args.out_csv
-    if args.out_svg:
-        cfg.out_svg = args.out_svg
-
+    cfg = _config(args, SWEEP_KEYS)
     rows = run_sweep(cfg)
     emit_csv(rows, cfg.out_csv, cfg.dv_max)
     stem, ext = os.path.splitext(cfg.out_svg)
@@ -188,19 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", help="one solve; prints lambda, rate, gap, margin")
-    _add_solve_flags(p)
+    p.add_argument("--config", help="config file; a flag replaces its line")
+    _add_key_flags(p, SOLVE_KEYS)
     p.add_argument("--solver", choices=("lp", "sdp"), default="lp")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("sweep", help="alpha sweep; writes CSV and SVG plots")
+    text = ("alpha sweep; writes CSV and SVG plots.  Each flag is a config "
+            "key (--dv-max for dv_max): its text replaces the file's line and "
+            "is checked as that line is")
+    p = sub.add_parser("sweep", help="alpha sweep; writes CSV and SVG plots",
+                       description=text)
     p.add_argument("config", help="experiment config file")
-    p.add_argument("--rho")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--dv-max", type=int)
-    p.add_argument("--alpha", help="overrides the config alpha list/range")
-    p.add_argument("--solver", choices=("lp", "sdp", "both"))
-    p.add_argument("--out-csv")
-    p.add_argument("--out-svg")
+    _add_key_flags(p, SWEEP_KEYS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="DE trace for a given lambda, rho, epsilon")
@@ -229,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
             "on [0, 1]: its largest deviation at the m + 1 Chebyshev nodes times "
             "the Lebesgue-constant bound (2/pi) ln(m + 1) + 1")
     p = sub.add_parser("certify-sos", help=text, description=text)
-    _add_solve_flags(p)
+    p.add_argument("--config", help="config file; a flag replaces its line")
+    _add_key_flags(p, SOLVE_KEYS)
     p.set_defaults(func=cmd_certify_sos)
 
     return parser

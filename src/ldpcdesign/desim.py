@@ -51,8 +51,11 @@ def de_trace(
     """Iterate the recursion from y_0 = epsilon until y <= target.
 
     Exhausting max_iters (or stalling at a fixed point above target) is
-    reported as converged = False rather than an error.
+    reported as converged = False rather than an error.  epsilon is an
+    erasure probability: outside [0, 1] it raises ValueError.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if max_iters < 1:

@@ -1,25 +1,23 @@
 """Experiment configuration, the alpha sweep, and CSV emission.
 
-Configs are a line-oriented ``key = value`` format; the sweep solves every
-alpha with each solver (one LP solve per alpha, one lockstep SDP solve over
-all of them), certifies each answer, measures its DE trace, and emits
-deterministic CSV rows.
+A config is a set of ``key = value`` lines.  ``KEYS`` names every key with
+the parser of its value text and its default; ``parse_config`` runs each
+value through that parser, whether it came from a file line or from a CLI
+flag (``--dv-max 8`` is the text of the line ``dv_max = 8``, and replaces
+it).  The sweep solves every alpha with each solver (one LP solve per
+alpha, one lockstep SDP solve over all of them), certifies each answer,
+measures its DE trace, and emits deterministic CSV rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from . import certify
 from .desim import de_trace
 from .lp import SolveRequest, solve_semi_infinite
 from .polynomials import DegreeDistribution, poly_from_edge_coeffs, rate_and_gap
 
-KNOWN_KEYS = ("rho", "epsilon", "dv_max", "alpha", "solver", "target",
-              "out_csv", "out_svg")
-DEFAULT_ALPHA_SPEC = "0.2:0.1:1.0"
 SOLVERS = ("lp", "sdp")
 
 
@@ -27,7 +25,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     rho_coeffs: dict
     epsilon: float
@@ -108,8 +106,45 @@ def parse_alpha_values(spec: str) -> tuple:
     return values
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    seen = {}
+def _in_open_unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{value} outside (0, 1)")
+    return value
+
+
+def _dv_max(text: str) -> int:
+    d_v = int(text)
+    if d_v < 2:
+        raise ConfigError(f"{d_v} must be >= 2")
+    return d_v
+
+
+def _solver(text: str) -> str:
+    if text not in ("lp", "sdp", "both"):
+        raise ConfigError(f"{text!r} not one of lp, sdp, both")
+    return text
+
+
+# key -> (parser of its text, default text or None if required), in the
+# order of the ExperimentConfig fields.
+KEYS = {
+    "rho": (parse_degree_poly, None),
+    "epsilon": (_in_open_unit, None),
+    "dv_max": (_dv_max, None),
+    "alpha": (parse_alpha_values, "0.2:0.1:1.0"),
+    "solver": (_solver, "both"),
+    "target": (_in_open_unit, "1e-6"),
+    "out_csv": (str, "sweep.csv"),
+    "out_svg": (str, "sweep.svg"),
+}
+
+
+def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
+    """The config of ``key = value`` lines in ``text``, where ``flags``
+    (key -> value text) replaces the file's line for its key.  Every key,
+    from either source, goes through its parser in ``KEYS``."""
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,72 +152,23 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in lines:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = (lineno, value)
+        lines[key] = value
+    lines.update(flags or {})
 
-    def take(key, default=None):
-        if key in seen:
-            return seen[key][1]
-        return default
-
-    for required in ("rho", "epsilon", "dv_max"):
-        if required not in seen:
-            raise ConfigError(f"missing required key {required!r}")
-
-    try:
-        rho_coeffs = parse_degree_poly(seen["rho"][1])
-    except ConfigError as exc:
-        raise ConfigError(f"rho: {exc}") from None
-    try:
-        epsilon = float(seen["epsilon"][1])
-    except ValueError:
-        raise ConfigError("epsilon: not a number") from None
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon: {epsilon} outside (0, 1)")
-    try:
-        dv_max = int(seen["dv_max"][1])
-    except ValueError:
-        raise ConfigError("dv_max: not an integer") from None
-    if dv_max < 2:
-        raise ConfigError(f"dv_max: {dv_max} must be >= 2")
-    try:
-        alpha_values = parse_alpha_values(take("alpha", DEFAULT_ALPHA_SPEC))
-    except ConfigError as exc:
-        raise ConfigError(f"alpha: {exc}") from None
-    solver = take("solver", "both")
-    if solver not in ("lp", "sdp", "both"):
-        raise ConfigError(f"solver: {solver!r} not one of lp, sdp, both")
-    try:
-        target = float(take("target", "1e-6"))
-    except ValueError:
-        raise ConfigError("target: not a number") from None
-    if not 0.0 < target < 1.0:
-        raise ConfigError(f"target: {target} outside (0, 1)")
-
-    return ExperimentConfig(
-        rho_coeffs=rho_coeffs, epsilon=epsilon, dv_max=dv_max,
-        alpha_values=alpha_values, solver=solver, target=target,
-        out_csv=take("out_csv", "sweep.csv"), out_svg=take("out_svg", "sweep.svg"),
-    )
-
-
-def render_config(cfg: ExperimentConfig) -> str:
-    rho = ",".join(f"{d}:{c!r}" for d, c in sorted(cfg.rho_coeffs.items()))
-    alpha = ",".join(repr(a) for a in cfg.alpha_values)
-    lines = [
-        f"rho = {rho}",
-        f"epsilon = {cfg.epsilon!r}",
-        f"dv_max = {cfg.dv_max}",
-        f"alpha = {alpha}",
-        f"solver = {cfg.solver}",
-        f"target = {cfg.target!r}",
-        f"out_csv = {cfg.out_csv}",
-        f"out_svg = {cfg.out_svg}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = []
+    for key, (parse, default) in KEYS.items():
+        value = lines.get(key, default)
+        if value is None:
+            raise ConfigError(f"missing required key {key!r}")
+        try:
+            values.append(parse(value))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return ExperimentConfig(*values)
 
 
 def _row(cfg: ExperimentConfig, req: SolveRequest, solver: str, status: str,
@@ -250,30 +236,3 @@ def emit_csv(rows, path, d_v: int) -> None:
         lines.append(",".join(cells))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv_rows(path, epsilon: float) -> list[SweepRow]:
-    """Load emitted CSV, recomputing and cross-checking the gap column."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rec = dict(zip(header, cells))
-        rate = float(rec["rate"]) if rec["rate"] else None
-        gap = float(rec["gap"]) if rec["gap"] else None
-        if rate is not None and gap is not None:
-            expected = 1.0 - rate / (1.0 - epsilon)
-            if abs(gap - expected) > 1e-10:
-                raise ValueError(
-                    f"gap column {gap} does not match 1 - rate/capacity = {expected}")
-        lambdas = tuple(float(rec[k]) for k in header if k.startswith("lambda_")
-                        and rec[k])
-        rows.append(SweepRow(
-            alpha=float(rec["alpha"]), solver=rec["solver"], status=rec["status"],
-            rate=rate, gap=gap,
-            min_slack=float(rec["min_slack"]) if rec["min_slack"] else None,
-            iters=int(rec["iters"]) if rec["iters"] else None,
-            lambdas=lambdas))
-    return rows

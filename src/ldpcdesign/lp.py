@@ -35,7 +35,7 @@ again, until the certifier accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class SolveRequest:
     epsilon: float
     alpha: float
     d_v: int
-    grid: np.ndarray = field(default_factory=chebyshev_grid)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -79,14 +78,6 @@ class SolveRequest:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.d_v < 2:
             raise ValueError(f"d_v must be at least 2, got {self.d_v}")
-        g = np.asarray(self.grid, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("grid must be a non-empty 1-D array")
-        if np.any(g <= 0.0) or np.any(g > 1.0):
-            raise ValueError("grid points must lie in (0, 1]")
-        if np.any(np.diff(g) <= 0.0):
-            raise ValueError("grid points must be sorted and distinct")
-        object.__setattr__(self, "grid", g)
 
 
 @dataclass(frozen=True)
@@ -127,14 +118,21 @@ class OptimizationResult:
     cuts_added: int
 
 
-def build_discretized_lp(req: SolveRequest) -> LPStandardForm:
+def build_discretized_lp(req: SolveRequest, grid) -> LPStandardForm:
     """Variables lambda_2..lambda_{d_v}; max sum lambda_i / i; simplex
     equality; one inequality sum_i lambda_i f(x_k)^(i-1) / x_k <= alpha per
-    grid point.  The fixed-grid LP, without the cut loop: it serves
-    acceptance criterion 8 and the benchmark's tracer
-    (``bench/tracing.py``); ``solve_semi_infinite`` builds its rows
-    itself."""
-    A = _rows(req.rho, req.epsilon, req.d_v, req.grid)
+    point x_k of ``grid``, sorted and distinct in (0, 1].  The fixed-grid
+    LP, without the cut loop: it serves acceptance criterion 8 and the
+    benchmark's tracer (``bench/tracing.py``); ``solve_semi_infinite``
+    builds its rows itself, from ``chebyshev_grid()``."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-D array")
+    if np.any(grid <= 0.0) or np.any(grid > 1.0):
+        raise ValueError("grid points must lie in (0, 1]")
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid points must be sorted and distinct")
+    A = _rows(req.rho, req.epsilon, req.d_v, grid)
     return _lp(A, np.full(len(A), float(req.alpha)))
 
 
@@ -379,7 +377,7 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     if alpha < certify._floor(quotient, f, halves) - certify.FEASIBILITY_TOL:
         return _no_design("infeasible")
 
-    x = np.concatenate([[0.0], req.grid])
+    x = np.concatenate([[0.0], chebyshev_grid()])
     A = _rows(rho, epsilon, d_v, x)
     backed_off = alpha - 0.5 * SLACK_TOL
     state, status = _top_degree_start(_lp(A, np.maximum(backed_off, A[:, -1])))

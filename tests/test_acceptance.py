@@ -221,9 +221,7 @@ def test_criterion_8_cutting_plane_certification():
         objective = sum(c / i for i, c in res.lambda_coeffs.items())
         for n in (8, 32):
             grid = np.arange(1, n + 1) / n
-            _, coarse_obj, status = simplex_solve(build_discretized_lp(
-                SolveRequest(rho=rho, epsilon=eps, alpha=alpha, d_v=5,
-                             grid=grid)))
+            _, coarse_obj, status = simplex_solve(build_discretized_lp(req, grid))
             ok = ok and status == "optimal"
             ok = ok and objective <= coarse_obj + 1e-9
         oracle = fine_grid_objective(req, num_points=4000)

@@ -1,5 +1,7 @@
 """Config parsing, sweep orchestration, CSV/SVG output, and CLI exit codes."""
 
+import re
+import shlex
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -7,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ldpcdesign
 from ldpcdesign.cli import main
 from ldpcdesign.experiment import (
     ConfigError, ExperimentConfig, SweepRow, emit_csv, parse_alpha_values,
-    parse_config, parse_degree_poly, read_csv_rows, render_config, run_sweep)
+    parse_config, parse_degree_poly, run_sweep)
 from ldpcdesign.svgplot import NoPlottableRows, emit_svg_plot
 
 
@@ -57,13 +60,6 @@ def test_parse_config_comments_and_blank_lines():
     cfg = parse_config("# comment\nrho = x^3  # inline\n\nepsilon = 0.3\n"
                        "dv_max = 6\n")
     assert cfg.rho_coeffs == {4: 1.0}
-
-
-def test_config_round_trip():
-    cfg = parse_config("rho = 4:0.25,6:0.75\nepsilon = 0.35\ndv_max = 7\n"
-                       "alpha = 0.4,0.8\nsolver = lp\ntarget = 1e-5\n"
-                       "out_csv = a.csv\nout_svg = a.svg\n")
-    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_parse_degree_poly_shorthand():
@@ -124,10 +120,10 @@ def test_emit_csv_and_read_back(tmp_path):
     text = Path(cfg.out_csv).read_text()
     assert text.splitlines()[0] == \
         "alpha,solver,status,rate,gap,min_slack,iters,lambda_2,lambda_3,lambda_4"
-    back = read_csv_rows(cfg.out_csv, cfg.epsilon)
+    back = [float(line.split(",")[3]) for line in text.splitlines()[1:]]
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        assert b.rate == pytest.approx(a.rate, abs=1e-11)
+        assert b == pytest.approx(a.rate, abs=1e-11)
 
 
 def test_emit_csv_empty_rows(tmp_path):
@@ -343,3 +339,69 @@ def test_cli_config_file_supplies_defaults(tmp_path, capsys):
     code = main(["optimize", "--config", str(cfg)])
     assert code == 0
     assert "rate = 0.5" in capsys.readouterr().out
+
+
+def test_cli_optimize_flag_replaces_the_config_line(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("rho = x^3\nepsilon = 0.3\ndv_max = 6\nalpha = 0.5\n")
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["optimize", "--config", str(cfg), "--epsilon", "0.35"]) == 0
+    overridden = capsys.readouterr().out
+    assert main(["optimize", "--rho", "x^3", "--epsilon", "0.35", "--dv-max", "6",
+                 "--alpha", "0.5"]) == 0
+    assert overridden == capsys.readouterr().out != from_file
+
+
+def test_cli_optimize_needs_one_alpha(capsys):
+    code = main(["optimize", "--rho", "x^3", "--epsilon", "0.3", "--dv-max", "6",
+                 "--alpha", "0.3,0.5"])
+    assert code == 2
+    assert "error: alpha: one value needed, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text, key", [
+    ("--epsilon", "1.5", "epsilon"), ("--dv-max", "1", "dv_max"), ("--alpha", "0", "alpha"),
+    ("--solver", "bogus", "solver"), ("--rho", "x^0", "rho")])
+def test_cli_sweep_flag_is_checked_as_its_config_line(tmp_path, capsys, flag, text, key):
+    lines = ("rho = x^3\nepsilon = 0.3\ndv_max = 4\nalpha = 0.5\nsolver = lp\n"
+             f"out_csv = {tmp_path}/out.csv\nout_svg = {tmp_path}/out.svg\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(lines)
+    assert main(["sweep", str(cfg), flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}:")
+    assert not (tmp_path / "out.csv").exists()
+    # The same text on the file's line fails the same check.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(re.sub(rf"^{key} = .*$", f"{key} = {text}", lines, flags=re.M))
+    assert err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("epsilon", ["-0.5", "1.5"])
+def test_cli_simulate_epsilon_outside_the_unit_interval_exits_2(capsys, epsilon):
+    code = main(["simulate", "--lambda", "x", "--rho", "x^5", "--epsilon", epsilon])
+    assert code == 2
+    assert "error: epsilon" in capsys.readouterr().err
+
+
+def _readme_cli_block(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"```{lang}\n(.*?)```", text.split("## CLI", 1)[1], re.S).group(1)
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # Every command of README's CLI section, with its sweep config as
+    # experiment.cfg, runs to a result: feasible or not, no input error.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "experiment.cfg").write_text(_readme_cli_block("ini"))
+    lines = [line for line in _readme_cli_block("sh").splitlines()
+             if line.startswith("ldpcdesign ")]
+    assert len(lines) >= 6
+    for line in lines:
+        assert main(shlex.split(line)[1:]) in (0, 1), line
+
+
+def test_every_exported_name_resolves():
+    for name in ldpcdesign.__all__:
+        assert getattr(ldpcdesign, name) is not None, name

@@ -66,6 +66,12 @@ def test_de_trace_validates_inputs():
         de_trace(CYCLE, 0.5, max_iters=0)
 
 
+@pytest.mark.parametrize("epsilon", [-0.5, 1.5])
+def test_de_trace_rejects_epsilon_outside_the_unit_interval(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        de_trace(REGULAR_36, epsilon)
+
+
 def test_traces_nonincreasing_when_converged():
     for eps in (0.1, 0.25, 0.4):
         trace = de_trace(REGULAR_36, eps, target=1e-6)

@@ -61,13 +61,13 @@ def test_request_validation():
     with pytest.raises(ValueError):
         SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=1)
     with pytest.raises(ValueError):
-        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6,
-                     grid=np.array([0.0, 0.5]))
+        build_discretized_lp(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6),
+                             np.array([0.0, 0.5]))
 
 
 def test_build_lp_single_variable():
     req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=2)
-    lp = build_discretized_lp(req)
+    lp = build_discretized_lp(req, chebyshev_grid())
     assert lp.c.size == 1
     assert lp.E.shape == (1, 1)
     assert lp.d[0] == 1.0
@@ -75,8 +75,8 @@ def test_build_lp_single_variable():
 
 def test_build_lp_shape():
     grid = np.linspace(0.1, 1.0, 17)
-    req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=6, grid=grid)
-    lp = build_discretized_lp(req)
+    req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=6)
+    lp = build_discretized_lp(req, grid)
     assert lp.c.size == 5
     assert lp.A.shape == (17, 5)
     assert lp.b.size == 17
@@ -85,9 +85,9 @@ def test_build_lp_shape():
 def test_build_lp_alpha_scales_rhs():
     grid = np.linspace(0.1, 1.0, 10)
     lp1 = build_discretized_lp(
-        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=6, grid=grid))
+        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=1.0, d_v=6), grid)
     lp2 = build_discretized_lp(
-        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6, grid=grid))
+        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6), grid)
     assert np.allclose(lp2.b, 0.5 * lp1.b)
     assert np.allclose(lp2.A, lp1.A)
 
@@ -442,8 +442,7 @@ def test_discretization_sandwich():
     prev = None
     for n in (8, 16, 32, 64):
         grid = np.arange(1, n + 1) / n
-        lp = build_discretized_lp(
-            SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6, grid=grid))
+        lp = build_discretized_lp(req, grid)
         _, obj, status = simplex_solve(lp)
         assert status == "optimal"
         # Finer grids shrink the feasible set; certified value sits below all.
@@ -457,8 +456,7 @@ def test_fine_grid_dual_matches_primal():
     req = SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6)
     n = 500
     grid = np.arange(1, n + 1) / n
-    lp = build_discretized_lp(
-        SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.5, d_v=6, grid=grid))
+    lp = build_discretized_lp(req, grid)
     _, primal_obj, status = simplex_solve(lp)
     assert status == "optimal"
     dual_obj = fine_grid_objective(req, num_points=n)
