@@ -146,8 +146,9 @@ def _rows(rho: Polynomial, epsilon: float, d_v: int, x) -> np.ndarray:
     x = np.where(at_zero, 1.0, x)
     f = 1.0 - rho(1.0 - epsilon * x)
     A = f[:, None] ** np.arange(1, d_v) / x[:, None]
-    A[at_zero] = 0.0
-    A[at_zero, 0] = epsilon * rho.derivative()(1.0)
+    if at_zero.any():
+        A[at_zero] = 0.0
+        A[at_zero, 0] = epsilon * rho.derivative()(1.0)
     return A
 
 

@@ -10,12 +10,19 @@ works instead in Bernstein coefficients on [0, 1], all built by
 ``BernsteinQuotientSum`` from nonnegative sums only
 (``bernstein_quotient_sum``), and evaluates or splits them by de
 Casteljau's algorithm (``bernstein_values``, ``bernstein_halves``).
+
+The per-degree parts of these are built once per process and shared
+read-only: the split maps of every degree are blocks of one table, grown on
+demand and kept at the highest degree m used, (m+1)^2 doubles (about 8 MB
+at m = 1000), and each binomial row the builder multiplies by is kept once
+per degree, at most about m^2/2 doubles in all.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cache
 from math import comb, inf, log1p
 from typing import Iterable, Mapping
 
@@ -66,7 +73,7 @@ class Polynomial:
         coefficient, so they round identically:
         ``p(x) == p(np.array([x]))[0]`` bit for bit.
         """
-        if np.ndim(x) == 0:
+        if isinstance(x, float) or np.ndim(x) == 0:
             x = float(x)
             r = 0.0
             for c in self._horner:
@@ -200,11 +207,14 @@ def _inner_terms(rho: Polynomial, epsilon: float):
         yield rho.coeffs[j], term
 
 
+@cache
 def _binomial_row(n: int) -> np.ndarray:
-    """C(n, k) for k = 0..n as floats, by the running product."""
+    """C(n, k) for k = 0..n as floats, by the running product.  Built once
+    per n and read-only, as every caller shares it."""
     row = np.empty(n + 1)
     row[0] = 1.0
     np.cumprod(np.arange(n, 0, -1.0) / np.arange(1.0, n + 1), out=row[1:])
+    row.setflags(write=False)
     return row
 
 
@@ -256,8 +266,8 @@ class BernsteinQuotientSum:
         self.rho, self.d_v, self.degree = rho, d_v, m
         # Term j of f at degree j, scaled, then elevated to degree r by a
         # convolution with the binomial row of r - j.
-        self._elevate = {int(j): (_binomial_row(j), _binomial_row(r - j))
-                         for j in np.flatnonzero(rho.coeffs[1:]) + 1}
+        self._elevate = {j: (_binomial_row(j), _binomial_row(r - j))
+                         for j in (np.flatnonzero(rho.coeffs[1:]) + 1).tolist()}
         # P after k products with f has degree k r.
         self._horner = [_binomial_row(k * r) for k in range(1, d_v - 1)]
         self._unscale = _binomial_row(m)
@@ -294,18 +304,42 @@ def bernstein_values(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b[:, 0]
 
 
+# The left de Casteljau map of the highest degree asked for so far, entry
+# (i, k) = C(i, k) / 2^i; its rows do not depend on the degree, so the map of
+# any lower degree is its leading block.  Read-only, and replaced, never
+# written, when a higher degree is asked for.
+_LEFT = np.ones((1, 1))
+_LEFT.setflags(write=False)
+
+
+def _left_map(m: int) -> np.ndarray:
+    """Rows and columns 0..m of the shared left map, grown on demand.  The
+    global is read once, so a concurrent call that replaces the table with
+    a smaller one cannot shrink the block this call returns."""
+    global _LEFT
+    table = _LEFT
+    n = table.shape[0]
+    if m >= n:
+        left = np.zeros((m + 1, m + 1))
+        left[:n, :n] = table
+        for i in range(n, m + 1):
+            left[i, :i] = 0.5 * left[i - 1, :i]
+            left[i, 1:i + 1] += 0.5 * left[i - 1, :i]
+        left.setflags(write=False)
+        _LEFT = table = left
+    return table[:m + 1, :m + 1]
+
+
 def bernstein_halves(m: int) -> np.ndarray:
     """The de Casteljau maps at t = 1/2 for degree m, stacked: rows 0..m
     take Bernstein coefficients on [0, 1] to those of the left half
     [0, 1/2], rows m+1..2m+1 to those of the right half, each re-scaled to
     [0, 1].  Entry (i, k) of the left map is C(i, k) / 2^i, so both maps are
     nonnegative with rows summing to 1; the right map is the left one
-    reversed in both axes."""
-    left = np.zeros((m + 1, m + 1))
-    left[0, 0] = 1.0
-    for i in range(1, m + 1):
-        left[i, :i] = 0.5 * left[i - 1, :i]
-        left[i, 1:i + 1] += 0.5 * left[i - 1, :i]
+    reversed in both axes.  The left map is a block of one table shared by
+    every degree (``_left_map``), so only a degree above every one used
+    before pays for the recursion that builds it."""
+    left = _left_map(m)
     return np.vstack([left, left[::-1, ::-1]])
 
 

@@ -9,7 +9,10 @@ never expanded, and runs the library's simplex kernel once, on the dual
 of a dense-grid LP.  The HiGHS grid objective and the direct slack share
 no code with the library: their rows are evaluated directly as well, and
 scipy solves the LP.  ``random_edge_map`` draws the random degree
-distributions the tests check against these.
+distributions the tests check against these.  ``reference_halves`` and
+``reference_minimum`` are the plain forms of the certifier's de Casteljau
+maps and branch and bound, a per-degree build and a loop over numpy
+arrays, which the library's must match bit for bit.
 """
 
 from itertools import combinations
@@ -164,3 +167,42 @@ def direct_min_slack(lam, rho, epsilon, alpha, num_points=200_000):
     slack = alpha - sum(c * f ** (i - 1) for i, c in lam.items()) / x
     rho_prime = sum(c * (d - 1) for d, c in rho.items())
     return min(float(np.min(slack)), alpha - lam.get(2, 0.0) * epsilon * rho_prime)
+
+
+def reference_halves(m):
+    """The de Casteljau maps at t = 1/2 for degree m, as
+    ``polynomials.bernstein_halves`` stacks them, built for this degree
+    alone by the recursion C(i, k) / 2^i = (C(i-1, k-1) + C(i-1, k)) / 2^i."""
+    left = np.zeros((m + 1, m + 1))
+    left[0, 0] = 1.0
+    for i in range(1, m + 1):
+        left[i, :i] = 0.5 * left[i - 1, :i]
+        left[i, 1:i + 1] += 0.5 * left[i - 1, :i]
+    return np.vstack([left, left[::-1, ::-1]])
+
+
+def reference_minimum(coeffs, halves, max_depth, max_pieces, floor_tol):
+    """The breadth-first branch and bound of ``certify._minimum`` with its
+    caps and tolerance as arguments: every level reads the pieces' end
+    coefficients by a fancy index, keeps the piece lefts in an array and
+    gathers the kept pieces, and splits them by one matrix product.
+    Returns (value, location, bound) as ``certify._minimum`` does."""
+    pieces = np.asarray(coeffs, dtype=float)[None, :]
+    lefts = np.zeros(1)
+    width = 1.0
+    best, where = np.inf, 0.0
+    for depth in range(max_depth + 1):
+        ends = pieces[:, [0, -1]]
+        k = int(np.argmin(ends))
+        if ends.flat[k] < best:
+            best = float(ends.flat[k])
+            where = float(lefts[k // 2] + (k % 2) * width)
+        keep = pieces.min(axis=1) < best - floor_tol
+        pieces, lefts = pieces[keep], lefts[keep]
+        if not pieces.size or depth == max_depth or 2 * len(pieces) > max_pieces:
+            break
+        pieces = (pieces @ halves.T).reshape(-1, pieces.shape[1])
+        width *= 0.5
+        lefts = np.repeat(lefts, 2)
+        lefts[1::2] += width
+    return best, where, float(pieces.min()) if pieces.size else best

@@ -6,13 +6,15 @@ import pytest
 
 from ldpcdesign import certify
 from ldpcdesign.certify import (
-    FEASIBILITY_TOL, FLOOR_TOL, MAX_SPLIT_DEPTH, bernstein_margin,
+    FEASIBILITY_TOL, FLOOR_TOL, MAX_PIECES, MAX_SPLIT_DEPTH, bernstein_margin,
     feasibility_floor, min_normalized_slack)
 from ldpcdesign.polynomials import (
     bernstein_halves, bernstein_quotient_sum, bernstein_split,
     poly_from_edge_coeffs)
 
-from oracles import direct_min_slack, random_edge_map, threshold_closed_form
+from oracles import (
+    direct_min_slack, random_edge_map, reference_halves, reference_minimum,
+    threshold_closed_form)
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
@@ -230,6 +232,29 @@ def test_margin_refutes_zero_slack_without_splitting(monkeypatch):
     assert np.array_equal(s, [0.0])
     assert not _proves_positive(s, bernstein_halves(0))
     assert sizes == []
+
+
+@pytest.mark.parametrize("caps", [(MAX_SPLIT_DEPTH, MAX_PIECES), (4, MAX_PIECES), (40, 4)],
+                         ids=["caps", "low-depth", "few-pieces"])
+def test_minimum_matches_the_reference_bit_for_bit(monkeypatch, caps):
+    # The branch and bound returns the bits of the plain loop over numpy
+    # arrays, on random Bernstein vectors of degree 0..200 and on slacks of
+    # random designs near their threshold, where most levels hold one
+    # piece; with low caps the loop ends at the caps, and the open pieces'
+    # bound is compared too.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", caps[0])
+    monkeypatch.setattr(certify, "MAX_PIECES", caps[1])
+    rng = np.random.default_rng(caps[0] + caps[1])
+    vectors = [rng.normal(size=m + 1) for m in [0, 1, 2, *rng.integers(3, 201, size=12)]]
+    for _ in range(12):
+        lam, rho = random_edge_map(rng, 2, 12, 3), random_edge_map(rng, 3, 9, 2)
+        eps = 0.99 * threshold_closed_form(lam, rho, num_points=2000)
+        vectors.append(1.0 - bernstein_quotient_sum(lam, poly_from_edge_coeffs(rho), eps))
+    for coeffs in vectors:
+        m = coeffs.size - 1
+        got = certify._minimum(coeffs, bernstein_halves(m))
+        want = reference_minimum(coeffs, reference_halves(m), *caps, FLOOR_TOL)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_margin_caps_end_the_subdivision(monkeypatch):

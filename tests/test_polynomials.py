@@ -7,10 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from ldpcdesign import polynomials
 from ldpcdesign.polynomials import (
     BernsteinQuotientSum, ChannelSpec, DegreeDistribution, Polynomial,
     bernstein_halves, bernstein_quotient_sum, bernstein_split,
     bernstein_values, design_rate, poly_from_edge_coeffs, rate_report)
+
+from oracles import reference_halves
 
 X = Polynomial([0.0, 1.0])
 X3 = Polynomial([0.0, 0.0, 0.0, 1.0])
@@ -32,15 +35,17 @@ def test_scalar_and_array_evaluation_round_identically():
     # Both evaluation paths must round the same way, so a value read at
     # one point equals that point of an array.  A high-degree polynomial
     # with large cancelling coefficients, (1 - 2x)^40, makes any difference
-    # in the arithmetic show.
+    # in the arithmetic show.  A Python float, an int, an np.float64 and a
+    # 0-d array are all scalars, and each gives the same bits.
     p = Polynomial([comb(40, k) * (-2.0) ** k for k in range(41)])
     xs = np.linspace(0.0, 1.0, 200)
     scalar = np.array([p(x) for x in xs.tolist()])
-    assert all(type(p(x)) is float for x in (0.5, np.float64(0.5), np.array(0.5)))
+    assert all(type(p(x)) is float for x in (0.5, 1, np.float64(0.5), np.array(0.5)))
     assert np.array_equal(scalar, p(xs))
-    for x, v in zip(xs.tolist(), scalar):
-        assert p(np.array([x]))[0] == v
-        assert p(np.float64(x)) == v
+    for x, v in zip(xs.tolist(), scalar.tolist()):
+        points = [x, np.float64(x), np.array(x)] + ([int(x)] if x in (0.0, 1.0) else [])
+        assert {p(point).hex() for point in points} == {v.hex()}
+        assert float(p(np.array([x]))[0]).hex() == v.hex()
 
 
 def test_trailing_coefficients_trimmed():
@@ -337,3 +342,30 @@ def test_bernstein_halves_match_direct_evaluation(m):
     both = bernstein_split(np.vstack([b, 2.0 * b]), halves)
     assert np.allclose(both, [left, right, 2.0 * left, 2.0 * right],
                        rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["increasing", "decreasing"])
+def test_bernstein_halves_match_the_per_degree_build_bit_for_bit(monkeypatch, reverse):
+    # The left map is a block of one table shared by every degree, grown on
+    # demand: whichever order the degrees come in, each gets the bits of a
+    # build for it alone.
+    fresh = np.ones((1, 1))
+    fresh.setflags(write=False)
+    monkeypatch.setattr(polynomials, "_LEFT", fresh)
+    for m in sorted({0, 1, 2, 3, 7, 40, 139, 200, *range(0, 201, 17)}, reverse=reverse):
+        halves, reference = bernstein_halves(m), reference_halves(m)
+        assert halves.shape == reference.shape == (2 * m + 2, m + 1)
+        assert halves.tobytes() == reference.tobytes()
+    assert polynomials._LEFT.shape == (201, 201)
+
+
+def test_shared_split_table_and_binomial_rows_are_read_only():
+    bernstein_halves(5)
+    with pytest.raises(ValueError):
+        polynomials._LEFT[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        polynomials._left_map(5)[1, 0] = 2.0
+    row = polynomials._binomial_row(5)
+    assert polynomials._binomial_row(5) is row
+    with pytest.raises(ValueError):
+        row[0] = 2.0
