@@ -1,19 +1,22 @@
 """Optimal-rate LDPC degree distributions on the BEC under a
-fast-convergence density-evolution constraint."""
+fast-convergence density-evolution constraint.
 
-from .certify import MarginReport, feasibility_floor, min_normalized_slack
-from .desim import DETrace, ThresholdResult, de_step, de_trace, empirical_contraction, threshold
-from .experiment import ExperimentConfig, SweepRow, emit_csv, parse_config, run_sweep
-from .lp import (LPStandardForm, OptimizationResult, SolveRequest, build_discretized_lp,
-                 chebyshev_grid, simplex_solve, solve_semi_infinite)
-from .polynomials import (ChannelSpec, DegreeDistribution, Polynomial, RateReport,
-                          design_rate, poly_from_edge_coeffs, rate_and_gap, rate_report)
+The package exports the entry points a user calls: the two solvers, the
+certifiers, the rate and DE analysis, and the sweep with its outputs.  The
+result and problem types stay importable from their modules
+(``ldpcdesign.lp.OptimizationResult``, ``ldpcdesign.experiment.SweepRow``,
+...)."""
+
+from .certify import feasibility_floor, min_normalized_slack
+from .desim import de_trace, empirical_contraction, threshold
+from .experiment import emit_csv, parse_config, run_sweep
+from .lp import SolveRequest, solve_semi_infinite
+from .polynomials import DegreeDistribution, poly_from_edge_coeffs, rate_and_gap
 from .svgplot import emit_svg_plot
 
 # The SDP path is imported on first use, so that the LP path, the DE
 # simulator and the threshold do not load it.
-_SOS_NAMES = ("SDPSolution", "SOSCertificate", "SOSProblem", "build_sos_problem",
-              "check_certificate", "certificate_min_eigenvalue", "solve_sdp", "solve_sdps")
+_SOS_NAMES = ("build_sos_problem", "solve_sdp", "solve_sdps", "check_certificate")
 
 
 def __getattr__(name):
@@ -24,13 +27,10 @@ def __getattr__(name):
 
 
 __all__ = [
-    "MarginReport", "feasibility_floor", "min_normalized_slack",
-    "DETrace", "ThresholdResult", "de_step", "de_trace", "empirical_contraction", "threshold",
-    "ExperimentConfig", "SweepRow", "emit_csv", "parse_config", "run_sweep",
-    "LPStandardForm", "OptimizationResult", "SolveRequest", "build_discretized_lp",
-    "chebyshev_grid", "simplex_solve", "solve_semi_infinite",
-    "ChannelSpec", "DegreeDistribution", "Polynomial", "RateReport",
-    "design_rate", "poly_from_edge_coeffs", "rate_and_gap", "rate_report",
+    "SolveRequest", "solve_semi_infinite",
     *_SOS_NAMES,
-    "emit_svg_plot",
+    "feasibility_floor", "min_normalized_slack",
+    "DegreeDistribution", "poly_from_edge_coeffs", "rate_and_gap",
+    "de_trace", "threshold", "empirical_contraction",
+    "parse_config", "run_sweep", "emit_csv", "emit_svg_plot",
 ]

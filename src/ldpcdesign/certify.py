@@ -24,8 +24,8 @@ built from nonnegative sums, through one branch and bound:
 - ``bernstein_margin`` bounds the minimum of the slack and locates it; the
   LP cut loop (``lp.solve_semi_infinite``) certifies every candidate lambda
   and picks its cuts with it, and ``min_normalized_slack`` wraps it for the
-  ``verify`` and ``optimize`` margins of the CLI and the sweep's
-  ``min_slack`` column.
+  sweep row's margin (the CSV's ``min_slack``, and what ``optimize``
+  prints) and for ``verify``.
 - ``feasibility_floor`` is the smallest feasible alpha; both solver paths
   (``lp.solve_semi_infinite``, ``sos.solve_sdps``) take their infeasibility
   test from it, the LP loop through ``_floor`` on the Bernstein setup it
@@ -71,8 +71,8 @@ def _check_slack_args(dist_lambda: Mapping[int, float], alpha: float):
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     for i, c in dist_lambda.items():
-        if c < 0.0:
-            raise ValueError(f"lambda coefficient for degree {i} is negative")
+        if not c >= 0.0:  # a NaN fails it too
+            raise ValueError(f"lambda coefficient for degree {i} must be nonnegative, got {c}")
 
 
 def min_normalized_slack(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: optimize, sweep, simulate, threshold, verify, certify-sos.
-Exit codes: 0 success, 1 infeasible, 2 input error.
+Exit codes: 0 success, 1 infeasible, 2 input error.  ``optimize`` is a
+sweep over its one alpha (``experiment.run_sweep``) and prints that row.
 """
 
 from __future__ import annotations
@@ -9,14 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import certify
 from .desim import de_trace, threshold as de_threshold
 from .experiment import (ConfigError, ExperimentConfig, emit_csv, parse_config,
                          parse_degree_poly, run_sweep)
-from .lp import SolveRequest, solve_semi_infinite
-from .polynomials import (DegreeDistribution, Polynomial, bernstein_quotient_sum,
-                          poly_from_edge_coeffs, rate_and_gap)
+from .lp import SolveRequest
+from .polynomials import DegreeDistribution, bernstein_quotient_sum, poly_from_edge_coeffs
 from .svgplot import NoPlottableRows, emit_svg_plot
 
 EXIT_OK = 0
@@ -47,42 +48,35 @@ def _config(args, keys) -> ExperimentConfig:
     return parse_config(text, flags)
 
 
-def _solve_request(args) -> SolveRequest:
-    cfg = _config(args, SOLVE_KEYS)
+def _one_alpha(cfg: ExperimentConfig) -> ExperimentConfig:
     if len(cfg.alpha_values) != 1:
         raise ConfigError(f"alpha: one value needed, got {len(cfg.alpha_values)}")
+    return cfg
+
+
+def _solve_request(args) -> SolveRequest:
+    cfg = _one_alpha(_config(args, SOLVE_KEYS))
     return SolveRequest(rho=poly_from_edge_coeffs(cfg.rho_coeffs), epsilon=cfg.epsilon,
                         alpha=cfg.alpha_values[0], d_v=cfg.dv_max)
 
 
-def _print_solution(lam: dict, rho: Polynomial, epsilon: float, alpha: float):
-    rate, gap = rate_and_gap(lam, rho, epsilon)
-    margin = certify.min_normalized_slack(lam, rho, epsilon, alpha)
-    for i in sorted(lam):
-        print(f"lambda_{i} = {lam[i]:.12g}")
-    print(f"rate = {rate:.12g}")
-    print(f"gap = {gap:.12g}")
+def cmd_optimize(args) -> int:
+    cfg = _one_alpha(replace(_config(args, SOLVE_KEYS), solver=args.solver))
+    (row,) = run_sweep(cfg)
+    if row.status != "optimal":
+        print(f"status = {row.status}")
+        if row.reason:
+            print(f"reason = {row.reason}")
+        return EXIT_INFEASIBLE
+    print(f"status = optimal ({row.solver})")
+    for i, value in enumerate(row.lambdas, start=2):
+        if value:
+            print(f"lambda_{i} = {value:.12g}")
+    print(f"rate = {row.rate:.12g}")
+    print(f"gap = {row.gap:.12g}")
+    margin = row.margin
     print(f"min_slack = {margin.min_slack:.12g} at x = {margin.argmin_x:.12g}")
     print(f"feasible = {margin.feasible}")
-
-
-def cmd_optimize(args) -> int:
-    req = _solve_request(args)
-    reason = None
-    if args.solver == "sdp":
-        from .sos import build_sos_problem, solve_sdp
-        sol, _ = solve_sdp(build_sos_problem(req))
-        status, lam, reason = sol.status, sol.lambda_coeffs, sol.reason
-    else:
-        res = solve_semi_infinite(req)
-        status, lam = res.status, res.lambda_coeffs
-    if status != "optimal":
-        print(f"status = {status}")
-        if reason:
-            print(f"reason = {reason}")
-        return EXIT_INFEASIBLE
-    print(f"status = optimal ({args.solver})")
-    _print_solution(lam, req.rho, req.epsilon, req.alpha)
     return EXIT_OK
 
 

@@ -35,13 +35,6 @@ class ThresholdResult:
     bracket_width: float
 
 
-def de_step(dist: DegreeDistribution, epsilon: float, y: float) -> float:
-    """One decoder iteration: epsilon * lambda(1 - rho(1 - y))."""
-    lam = dist.lambda_polynomial()
-    rho = dist.rho_polynomial()
-    return epsilon * lam(1.0 - rho(1.0 - y))
-
-
 def de_trace(
     dist: DegreeDistribution,
     epsilon: float,
@@ -110,7 +103,7 @@ def threshold(dist: DegreeDistribution, tol: float) -> ThresholdResult:
     a subdivision cap leaves the interval wider than ``tol``, so the
     estimate errs low; ``bracket_width`` is the interval's width.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # a NaN fails it too
         raise ValueError(f"tol must be positive, got {tol}")
     # A degree too high for float64 is refused here, before the split maps
     # are built.

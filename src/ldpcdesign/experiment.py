@@ -6,7 +6,10 @@ value through that parser, whether it came from a file line or from a CLI
 flag (``--dv-max 8`` is the text of the line ``dv_max = 8``, and replaces
 it).  The sweep solves every alpha with each solver (one LP solve per
 alpha, one lockstep SDP solve over all of them), certifies each answer,
-measures its DE trace, and emits deterministic CSV rows.
+measures its DE trace, and emits deterministic CSV rows.  A ``SweepRow`` is
+the one record of a solve: the CLI's ``optimize`` is a sweep over its one
+alpha and prints that row, so its figures and the CSV's come from the same
+code.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ class SweepRow:
     status: str
     rate: float | None
     gap: float | None
-    min_slack: float | None
-    iters: int | None
-    lambdas: tuple
+    margin: certify.MarginReport | None
+    iters: int | None  # DE iterations to the target
+    lambdas: tuple  # lambda_2..lambda_dv_max, zeros included
+    reason: str | None = None  # the SDP's stop (SDPSolution.reason); the LP has none
 
 
 def parse_degree_poly(spec: str) -> dict:
@@ -73,10 +77,11 @@ def parse_degree_poly(spec: str) -> dict:
         if deg in coeffs:
             raise ConfigError(f"duplicate degree {deg}")
         coeffs[deg] = float(coeff_s)
+    # Both checks are written so that a NaN fails them.
     total = sum(coeffs.values())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ConfigError(f"coefficients sum to {total}, not 1")
-    if any(c < 0 for c in coeffs.values()):
+    if not all(c >= 0.0 for c in coeffs.values()):
         raise ConfigError("coefficients must be nonnegative")
     if any(d < 2 for d in coeffs):
         raise ConfigError("degrees must be >= 2")
@@ -172,11 +177,11 @@ def parse_config(text: str, flags: dict | None = None) -> ExperimentConfig:
 
 
 def _row(cfg: ExperimentConfig, req: SolveRequest, solver: str, status: str,
-         lam: dict) -> SweepRow:
+         lam: dict, reason: str | None = None) -> SweepRow:
     """The sweep row of one solve: certified, measured on the DE trace."""
     if status != "optimal" or not lam:
         return SweepRow(alpha=req.alpha, solver=solver, status=status, rate=None,
-                        gap=None, min_slack=None, iters=None, lambdas=())
+                        gap=None, margin=None, iters=None, lambdas=(), reason=reason)
 
     margin = certify.min_normalized_slack(lam, req.rho, cfg.epsilon, req.alpha)
     rate, gap = rate_and_gap(lam, req.rho, cfg.epsilon)
@@ -184,8 +189,8 @@ def _row(cfg: ExperimentConfig, req: SolveRequest, solver: str, status: str,
     trace = de_trace(dist, cfg.epsilon, target=cfg.target)
     lambdas = tuple(lam.get(i, 0.0) for i in range(2, cfg.dv_max + 1))
     return SweepRow(alpha=req.alpha, solver=solver, status=status, rate=rate,
-                    gap=gap, min_slack=margin.min_slack,
-                    iters=trace.iterations_to_target, lambdas=lambdas)
+                    gap=gap, margin=margin, iters=trace.iterations_to_target,
+                    lambdas=lambdas, reason=reason)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -207,7 +212,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         # The problems differ only in alpha: one build, its rows shared.
         prob = build_sos_problem(reqs[0])
         sols = solve_sdps([replace(prob, alpha=req.alpha) for req in reqs])
-        rows += [_row(cfg, req, "sdp", sol.status, sol.lambda_coeffs)
+        rows += [_row(cfg, req, "sdp", sol.status, sol.lambda_coeffs, sol.reason)
                  for req, (sol, _) in zip(reqs, sols)]
     rows.sort(key=lambda r: (r.alpha, r.solver))
     return rows
@@ -231,8 +236,9 @@ def emit_csv(rows, path, d_v: int) -> None:
     lines = [csv_header(d_v)]
     for r in rows:
         lambdas = list(r.lambdas) + [None] * (d_v - 1 - len(r.lambdas))
+        min_slack = r.margin.min_slack if r.margin else None
         cells = [_fmt(r.alpha), r.solver, r.status, _fmt(r.rate), _fmt(r.gap),
-                 _fmt(r.min_slack), _fmt(r.iters)] + [_fmt(v) for v in lambdas]
+                 _fmt(min_slack), _fmt(r.iters)] + [_fmt(v) for v in lambdas]
         lines.append(",".join(cells))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -3,9 +3,10 @@
 ``Polynomial`` is a dense monomial-basis polynomial in 64-bit floats.  It
 holds the degree distributions parsed from user input and serves their
 evaluation (density evolution, the directly evaluated LP rows), the
-derivative (the x -> 0 LP row) and the integral over [0, 1] (the rate).
-Every certifier (the LP cut loop's, the CLI and sweep margins, the
-decoding threshold, the feasibility floor and the SOS certificate check)
+derivative (the x -> 0 LP row) and the integral over [0, 1] (the rate,
+``rate_and_gap``, the one rate and gap formula).  Every certifier (the LP
+cut loop's, the sweep row's margin, which ``optimize`` prints, ``verify``'s,
+the decoding threshold, the feasibility floor and the SOS certificate check)
 works instead in Bernstein coefficients on [0, 1], all built by
 ``BernsteinQuotientSum`` from nonnegative sums only
 (``bernstein_quotient_sum``), and evaluates or splits them by de
@@ -21,7 +22,6 @@ per degree, at most about m^2/2 doubles in all.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from math import comb, inf, log1p
 from typing import Iterable, Mapping
@@ -125,21 +125,6 @@ def poly_from_edge_coeffs(coeffs: Mapping[int, float]) -> Polynomial:
     return Polynomial(dense)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Binary erasure channel with erasure probability epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-
-    @property
-    def capacity(self) -> float:
-        return 1.0 - self.epsilon
-
-
 class DegreeDistribution:
     """Edge-perspective variable/check degree distribution pair.
 
@@ -159,10 +144,12 @@ class DegreeDistribution:
             for d, c in side.items():
                 if int(d) != d or d < 2:
                     raise ValueError(f"{name} degree {d} is invalid (degrees start at 2)")
-                if c < 0.0:
-                    raise ValueError(f"{name} coefficient for degree {d} is negative")
+                # Both checks are written so that a NaN fails them.
+                if not c >= 0.0:
+                    raise ValueError(f"{name} coefficient for degree {d} must be "
+                                     f"nonnegative, got {c}")
             total = sum(side.values())
-            if abs(total - 1.0) > SIMPLEX_TOL:
+            if not abs(total - 1.0) <= SIMPLEX_TOL:
                 raise ValueError(f"{name} coefficients sum to {total}, not 1")
 
     @property
@@ -181,13 +168,6 @@ class DegreeDistribution:
 
     def __repr__(self) -> str:
         return f"DegreeDistribution(lambda={self._lambda!r}, rho={self._rho!r})"
-
-
-@dataclass(frozen=True)
-class RateReport:
-    rate: float
-    capacity: float
-    gap: float
 
 
 def _inner_terms(rho: Polynomial, epsilon: float):
@@ -350,24 +330,8 @@ def bernstein_split(pieces: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return (pieces @ halves.T).reshape(-1, pieces.shape[1])
 
 
-def _rate(lambda_coeffs: Mapping[int, float], rho: Polynomial) -> float:
-    """R = 1 - (int_0^1 rho) / (sum_i lambda_i / i)."""
-    return 1.0 - rho.integral01() / sum(c / i for i, c in lambda_coeffs.items())
-
-
-def design_rate(dist: DegreeDistribution) -> float:
-    """Design rate of a degree-distribution pair, by the same formula as
-    ``rate_and_gap``."""
-    return _rate(dist.lambda_coeffs, dist.rho_polynomial())
-
-
 def rate_and_gap(lambda_coeffs: Mapping[int, float], rho: Polynomial,
                  epsilon: float) -> tuple[float, float]:
     """R = 1 - (int_0^1 rho) / (sum_i lambda_i / i) and the gap 1 - R / (1 - epsilon)."""
-    rate = _rate(lambda_coeffs, rho)
+    rate = 1.0 - rho.integral01() / sum(c / i for i, c in lambda_coeffs.items())
     return rate, 1.0 - rate / (1.0 - epsilon)
-
-
-def rate_report(dist: DegreeDistribution, ch: ChannelSpec) -> RateReport:
-    rate, gap = rate_and_gap(dist.lambda_coeffs, dist.rho_polynomial(), ch.epsilon)
-    return RateReport(rate=rate, capacity=ch.capacity, gap=gap)

@@ -43,6 +43,8 @@ def test_slack_poly_rejects_alpha_out_of_range():
 def test_slack_poly_rejects_negative_lambda():
     with pytest.raises(ValueError, match="negative"):
         min_normalized_slack({2: 1.5, 3: -0.5}, RHO_X, 0.5, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        min_normalized_slack({2: float("nan")}, RHO_X, 0.5, 1.0)
 
 
 def test_min_slack_constant_case():

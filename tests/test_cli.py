@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ldpcdesign
+from ldpcdesign.certify import MarginReport
 from ldpcdesign.cli import main
 from ldpcdesign.experiment import (
     ConfigError, ExperimentConfig, SweepRow, emit_csv, parse_alpha_values,
@@ -69,6 +70,9 @@ def test_parse_degree_poly_shorthand():
         parse_degree_poly("x**2")
     with pytest.raises(ConfigError):
         parse_degree_poly("3:0.5,4:0.4")  # does not sum to 1
+    for spec in ("2:nan", "2:1.0,3:nan"):
+        with pytest.raises(ConfigError):
+            parse_degree_poly(spec)
 
 
 def test_parse_alpha_values():
@@ -101,7 +105,7 @@ def test_run_sweep_rows_sorted_and_certified(tmp_path):
     for r in rows:
         assert r.status == "optimal"
         assert r.gap == pytest.approx(1.0 - r.rate / 0.7, abs=1e-10)
-        assert r.min_slack >= -1e-9
+        assert r.margin.min_slack >= -1e-9
 
 
 def test_run_sweep_survives_infeasible_alpha(tmp_path):
@@ -146,16 +150,21 @@ def test_csv_byte_determinism(tmp_path):
 # --- SVG ------------------------------------------------------------------
 
 
+def _margin(min_slack):
+    return MarginReport(min_slack=min_slack, argmin_x=0.0, endpoint_slack=min_slack,
+                        feasible=True)
+
+
 def _rows():
     return [
         SweepRow(alpha=0.4, solver="lp", status="optimal", rate=0.3,
-                 gap=1.0 - 0.3 / 0.7, min_slack=0.01, iters=20,
+                 gap=1.0 - 0.3 / 0.7, margin=_margin(0.01), iters=20,
                  lambdas=(1.0,)),
         SweepRow(alpha=0.8, solver="lp", status="optimal", rate=0.45,
-                 gap=1.0 - 0.45 / 0.7, min_slack=0.02, iters=40,
+                 gap=1.0 - 0.45 / 0.7, margin=_margin(0.02), iters=40,
                  lambdas=(1.0,)),
         SweepRow(alpha=0.4, solver="sdp", status="optimal", rate=0.29,
-                 gap=1.0 - 0.29 / 0.7, min_slack=0.01, iters=20,
+                 gap=1.0 - 0.29 / 0.7, margin=_margin(0.01), iters=20,
                  lambdas=(1.0,)),
     ]
 
@@ -184,7 +193,7 @@ def test_svg_single_point(tmp_path):
 
 def test_svg_no_plottable_rows(tmp_path):
     empty = [SweepRow(alpha=0.1, solver="lp", status="infeasible", rate=None,
-                      gap=None, min_slack=None, iters=None, lambdas=())]
+                      gap=None, margin=None, iters=None, lambdas=())]
     with pytest.raises(NoPlottableRows):
         emit_svg_plot(empty, "rate", str(tmp_path / "x.svg"))
 
@@ -313,6 +322,16 @@ def test_cli_verify_infeasible(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lambda", "2:nan", "--rho", "x^3", "--epsilon", "0.3", "--alpha", "1.0"],
+    ["threshold", "--lambda", "2:nan", "--rho", "x^3"],
+    ["threshold", "--lambda", "x^2", "--rho", "x^5", "--tol", "nan"]])
+def test_cli_nan_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_cli_certify_sos(capsys):
     code = main(["certify-sos", "--rho", "x^3", "--epsilon", "0.3",
                  "--dv-max", "6", "--alpha", "0.5"])
@@ -351,6 +370,26 @@ def test_cli_optimize_flag_replaces_the_config_line(tmp_path, capsys):
     assert main(["optimize", "--rho", "x^3", "--epsilon", "0.35", "--dv-max", "6",
                  "--alpha", "0.5"]) == 0
     assert overridden == capsys.readouterr().out != from_file
+
+
+def test_cli_optimize_prints_its_sweep_row(tmp_path, capsys):
+    # optimize and the sweep CSV give the same rate, gap and min_slack text
+    # for the same alpha, with either solver.
+    design = ["--rho", "x^3", "--epsilon", "0.3", "--dv-max", "6", "--alpha", "0.5"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_csv = {tmp_path}/out.csv\nout_svg = {tmp_path}/out.svg\n")
+    assert main(["sweep", str(cfg), *design]) == 0
+    header, *lines = (tmp_path / "out.csv").read_text().splitlines()
+    rows = {cells["solver"]: cells for cells in
+            (dict(zip(header.split(","), line.split(","))) for line in lines)}
+    capsys.readouterr()
+    for solver in ("lp", "sdp"):
+        assert main(["optimize", "--solver", solver, *design]) == 0
+        printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+        row = rows[solver]
+        assert printed["rate"] == row["rate"]
+        assert printed["gap"] == row["gap"]
+        assert printed["min_slack"].split(" at x = ")[0] == row["min_slack"]
 
 
 def test_cli_optimize_needs_one_alpha(capsys):

@@ -27,3 +27,22 @@ def test_runtime_never_imports_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lp_path_never_imports_the_sdp_module():
+    # optimize --solver lp goes through the sweep, which loads the SDP
+    # module only for SDP rows; the package import does not load it either.
+    script = (
+        "import sys\n"
+        "import ldpcdesign\n"
+        "assert 'ldpcdesign.sos' not in sys.modules\n"
+        "from ldpcdesign.cli import main\n"
+        "assert main(['optimize', '--solver', 'lp', '--rho', 'x^3', '--epsilon',\n"
+        "             '0.3', '--dv-max', '4', '--alpha', '1.0']) == 0\n"
+        "assert 'ldpcdesign.sos' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

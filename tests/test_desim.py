@@ -7,7 +7,7 @@ import pytest
 
 from ldpcdesign import certify, desim
 from ldpcdesign.desim import (
-    DETrace, de_step, de_trace, empirical_contraction, threshold)
+    DETrace, de_trace, empirical_contraction, threshold)
 from ldpcdesign.certify import FLOOR_TOL
 from ldpcdesign.polynomials import BernsteinQuotientSum, DegreeDistribution
 
@@ -17,17 +17,24 @@ CYCLE = DegreeDistribution({2: 1.0}, {2: 1.0})          # lambda = x, rho = x
 REGULAR_36 = DegreeDistribution({3: 1.0}, {6: 1.0})     # lambda = x^2, rho = x^5
 
 
+# One DE step, epsilon * lambda(1 - rho(1 - y)), is the trace's first move
+# from y_0 = epsilon.
+
+
 def test_de_step_zero_channel():
-    assert de_step(REGULAR_36, 0.0, 0.7) == 0.0
+    # Nothing is erased: the trace starts at y_0 = 0 and has no step to take.
+    trace = de_trace(REGULAR_36, 0.0)
+    assert trace.values == (0.0,)
+    assert trace.iterations_to_target == 0
 
 
 def test_de_step_cycle():
-    assert de_step(CYCLE, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert de_trace(CYCLE, 0.5).values[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_de_step_regular_36():
     expected = 0.4 * (1.0 - 0.6 ** 5) ** 2
-    assert de_step(REGULAR_36, 0.4, 0.4) == pytest.approx(expected, abs=1e-12)
+    assert de_trace(REGULAR_36, 0.4).values[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_de_trace_geometric():
@@ -53,7 +60,8 @@ def test_de_trace_above_threshold_stalls_at_fixed_point():
     # scan a 1e-4 grid for a sign change of the update map around it.
     y_stall = trace.values[-1]
     ys = np.arange(1e-4, 0.5, 1e-4)
-    resid = np.array([de_step(REGULAR_36, 0.5, y) - y for y in ys])
+    lam, rho = REGULAR_36.lambda_polynomial(), REGULAR_36.rho_polynomial()
+    resid = 0.5 * lam(1.0 - rho(1.0 - ys)) - ys
     fixed = ys[np.nonzero(resid[:-1] * resid[1:] <= 0)[0]]
     assert fixed.size > 0
     assert min(abs(fixed - y_stall)) < 1e-3
@@ -224,8 +232,9 @@ def test_threshold_cap_returns_the_lower_end(monkeypatch):
 
 
 def test_threshold_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        threshold(CYCLE, tol=0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            threshold(CYCLE, tol=tol)
 
 
 def test_iteration_budget_for_certified_contraction():

@@ -9,9 +9,9 @@ import pytest
 
 from ldpcdesign import polynomials
 from ldpcdesign.polynomials import (
-    BernsteinQuotientSum, ChannelSpec, DegreeDistribution, Polynomial,
-    bernstein_halves, bernstein_quotient_sum, bernstein_split,
-    bernstein_values, design_rate, poly_from_edge_coeffs, rate_report)
+    BernsteinQuotientSum, DegreeDistribution, Polynomial, bernstein_halves,
+    bernstein_quotient_sum, bernstein_split, bernstein_values, poly_from_edge_coeffs,
+    rate_and_gap)
 
 from oracles import reference_halves
 
@@ -170,47 +170,38 @@ def test_constraint_basis_ordering():
 # --- degree distributions and rates
 
 
+def _rate_and_gap(lam, rho, epsilon=0.4):
+    return rate_and_gap(lam, poly_from_edge_coeffs(rho), epsilon)
+
+
 def test_design_rate_regular_36():
-    dist = DegreeDistribution({3: 1.0}, {6: 1.0})
-    assert design_rate(dist) == pytest.approx(0.5, abs=1e-12)
+    assert _rate_and_gap({3: 1.0}, {6: 1.0})[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_design_rate_cycle_code():
-    dist = DegreeDistribution({2: 1.0}, {2: 1.0})
-    assert design_rate(dist) == pytest.approx(0.0, abs=1e-12)
+    assert _rate_and_gap({2: 1.0}, {2: 1.0})[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_design_rate_34():
-    dist = DegreeDistribution({3: 1.0}, {4: 1.0})
-    assert design_rate(dist) == pytest.approx(0.25, abs=1e-12)
+    assert _rate_and_gap({3: 1.0}, {4: 1.0})[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_design_rate_regular_pairs():
     for a in range(2, 8):
         for b in range(a + 1, 10):
-            dist = DegreeDistribution({a: 1.0}, {b: 1.0})
-            assert design_rate(dist) == pytest.approx(1.0 - a / b, abs=1e-12)
+            rate, _ = _rate_and_gap({a: 1.0}, {b: 1.0})
+            assert rate == pytest.approx(1.0 - a / b, abs=1e-12)
 
 
 def test_rate_report_36():
-    dist = DegreeDistribution({3: 1.0}, {6: 1.0})
-    rep = rate_report(dist, ChannelSpec(0.4))
-    assert rep.rate == pytest.approx(0.5, abs=1e-12)
-    assert rep.capacity == pytest.approx(0.6, abs=1e-12)
-    assert rep.gap == pytest.approx(1.0 / 6.0, abs=1e-12)
+    rate, gap = _rate_and_gap({3: 1.0}, {6: 1.0}, 0.4)
+    assert rate == pytest.approx(0.5, abs=1e-12)
+    assert gap == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_rate_report_zero_rate():
-    dist = DegreeDistribution({2: 1.0}, {2: 1.0})
-    rep = rate_report(dist, ChannelSpec(0.3))
-    assert rep.gap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec(0.0)
-    with pytest.raises(ValueError):
-        ChannelSpec(1.0)
+    _, gap = _rate_and_gap({2: 1.0}, {2: 1.0}, 0.3)
+    assert gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_distribution_rejects_bad_sum():
@@ -221,6 +212,10 @@ def test_distribution_rejects_bad_sum():
 def test_distribution_rejects_negative_mass():
     with pytest.raises(ValueError):
         DegreeDistribution({2: 1.2, 3: -0.2}, {6: 1.0})
+    # A NaN is neither nonnegative nor part of a sum to 1.
+    for lam in ({2: float("nan")}, {2: 1.0, 3: float("nan")}):
+        with pytest.raises(ValueError, match="lambda"):
+            DegreeDistribution(lam, {6: 1.0})
 
 
 def test_distribution_rejects_degree_below_two():
