@@ -19,13 +19,13 @@ again, until the certifier accepts.
   row can stay violated in the tableau by up to _PIVOT_TOL: 24 of the 138
   optimal lambda of the benchmark's lp-stress panel have a negative slack
   minimum, the lowest -9.3e-10.
-- Kernel: a dense tableau simplex.  The first LP starts from the basis
-  with all mass on d_v, which the back-off makes feasible, so it needs no
-  phase 1; each cut becomes one new row of the live tableau, written in
-  the current basis, and dual simplex pivots restore feasibility before a
-  primal clean-up.  Pricing is Dantzig's rule, with Bland's rule after a
-  run of degenerate pivots.  A basic solution off the simplex by more
-  than _SIMPLEX_TOL ends the loop as ``numerical-failure``.
+- Kernel: a dense tableau simplex.  The first LP starts from all mass on
+  degree 2, a basis dual feasible for any rhs, and each cut becomes one
+  new row of the live tableau in the current basis; one dual-simplex loop
+  (the row of least rhs per unit of norm leaves) then restores
+  feasibility, with no phase 1, before a primal clean-up (Dantzig's rule,
+  Bland's rule after a run of degenerate pivots).  A basic solution off
+  the simplex by more than _SIMPLEX_TOL ends as ``numerical-failure``.
 - Certifier: the branch and bound of ``certify.bernstein_margin`` on the
   Bernstein coefficients of the slack (``BernsteinQuotientSum``), whose
   parts independent of lambda, and the split maps, are built once per
@@ -85,7 +85,7 @@ class LPStandardForm:
     """max c.x  s.t.  A x <= b,  E x = d,  x >= 0.
 
     The cut loop builds one for its first LP (``_lp``), which
-    ``_top_degree_start`` solves; ``simplex_solve`` takes any.
+    ``_dual_start`` solves; ``simplex_solve`` takes any.
     """
 
     c: np.ndarray
@@ -161,14 +161,14 @@ def _lp(A: np.ndarray, b: np.ndarray) -> LPStandardForm:
 class _SimplexState:
     """Dense tableau T = [B^-1 N | B^-1 b] with its basis.
 
-    ``run`` is the primal simplex and ``add_row`` adds a constraint to an
-    optimal tableau and re-optimises it by the dual simplex.  Every column
-    may enter: both starts (``_top_degree_start``, ``_two_phase`` after
-    phase 1) hand over a tableau of structurals, slacks and rhs.  The
-    entering column is priced by Dantzig's rule (most negative reduced
-    cost, lowest index on ties); after _DEGENERATE_RUN degenerate pivots in
-    a row, Bland's rule (lowest improving index) takes over until a pivot
-    makes progress.  The leaving row is the least ratio, ties broken by the
+    ``run`` is the primal simplex, ``dual`` the dual simplex and
+    ``add_row`` adds a constraint to an optimal tableau.  Every column may
+    enter: both starts (``_dual_start``, ``_two_phase`` after phase 1)
+    hand over a tableau of structurals, slacks and rhs.  The entering
+    column is priced by Dantzig's rule (most negative reduced cost, lowest
+    index on ties); after _DEGENERATE_RUN degenerate pivots in a row,
+    Bland's rule (lowest improving index) takes over until a pivot makes
+    progress.  The leaving row is the least ratio, ties broken by the
     smallest basic-variable index.
 
     A pivot divides the pivot row, then applies one rank-1 update to the
@@ -181,7 +181,7 @@ class _SimplexState:
         self.T = T
         self.basis = basis
         self.pivots = 0
-        self.cost = np.zeros(T.shape[1])  # the last ``run``'s, for ``add_row``
+        self.cost = np.zeros(T.shape[1])  # set by run and dual, read by add_row
 
     def run(self, cost: np.ndarray) -> str:
         """Minimize cost.x from the current feasible basis.  Returns
@@ -209,13 +209,9 @@ class _SimplexState:
             self._pivot(leave, enter)
 
     def add_row(self, a: np.ndarray, rhs: float) -> str:
-        """Add the constraint a.x <= rhs over the first len(a) columns, with
-        a new slack column that is basic in the new row, to a tableau that
-        ``run`` left optimal, and re-optimise: dual simplex pivots (the row
-        of the most negative rhs leaves, the column of least reduced cost
-        per unit of its negative entry enters) until the rhs is
-        nonnegative to _PIVOT_TOL, then a primal clean-up.  Returns
-        optimal|infeasible|unbounded."""
+        """Add a.x <= rhs over the first len(a) columns, with a new slack
+        basic in the new row, to a tableau that ``run`` left optimal, and
+        re-optimise by ``dual``.  Returns optimal|infeasible|unbounded."""
         m, width = self.T.shape
         T = np.zeros((m + 1, width + 1))
         T[:m, :width - 1] = self.T[:, :-1]
@@ -227,11 +223,20 @@ class _SimplexState:
         new -= new[self.basis] @ T[:m]  # the new row in the current basis
         self.T = T
         self.basis = np.append(self.basis, width - 1)
-        self.cost = np.insert(self.cost, width - 1, 0.0)
+        return self.dual(np.insert(self.cost, width - 1, 0.0))
+
+    def dual(self, cost: np.ndarray) -> str:
+        """Minimize cost.x from a dual feasible basis: while an rhs is below
+        -_PIVOT_TOL, the row of least rhs per unit of its norm leaves and the
+        column of least reduced cost per unit of its negative entry there
+        enters; then ``run``.  Returns optimal|infeasible|unbounded."""
+        self.cost = cost  # the ratio test reads the reduced costs
+        T = self.T
         while True:
-            leave = int(np.argmin(T[:, -1]))
-            if T[leave, -1] >= -_PIVOT_TOL:
+            rows = np.nonzero(T[:, -1] < -_PIVOT_TOL)[0]
+            if rows.size == 0:
                 return self.run(self.cost)
+            leave = int(rows[np.argmin(T[rows, -1] / np.linalg.norm(T[rows, :-1], axis=1))])
             row = T[leave, :-1]
             cols = np.nonzero(row < -_PIVOT_TOL)[0]
             if cols.size == 0:
@@ -265,9 +270,9 @@ def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     Phase 1 drives out an artificial column in each row without a basic
     slack; on a feasible lp they are then deleted, so phase 2 and the
     tableau it leaves hold the structurals, the slacks and the rhs, the
-    layout of ``_top_degree_start``.  Returns the final tableau and
+    layout of ``_dual_start``.  Returns the final tableau and
     optimal|infeasible|unbounded.  The kernel of ``simplex_solve``; the cut
-    loop starts from ``_top_degree_start`` instead."""
+    loop starts from ``_dual_start`` instead."""
     n = lp.c.size
     m1, m2 = lp.b.size, lp.d.size
     m = m1 + m2
@@ -311,25 +316,21 @@ def _two_phase(lp: LPStandardForm) -> tuple[_SimplexState, str]:
     return state, state.run(phase2)
 
 
-def _top_degree_start(lp: LPStandardForm) -> tuple[_SimplexState, str]:
-    """Primal simplex, as a minimisation of -c.x, on a grid LP built by
-    ``_lp`` with b >= A[:, -1], from the basis with all mass on d_v: the
-    last variable basic in the row sum lambda = 1, each slack in its own
-    row.  There inequality row k reads [A_k - A_k,-1 1^T | e_k | b_k -
-    A_k,-1] and the equality row [1^T | 0 | 1], feasible as b >= A[:, -1]:
-    no phase 1, no artificial column.  Returns the final tableau and
-    optimal|unbounded."""
+def _dual_start(lp: LPStandardForm) -> tuple[_SimplexState, str]:
+    """``dual`` on -c.x of a grid LP built by ``_lp``, from all mass on
+    degree 2: lambda_2 basic in the row sum lambda = 1 ([1^T | 0 | 1]), each
+    slack in its own row k ([A_k - A_k,0 1^T | e_k | b_k - A_k,0]).  There
+    lambda_i has reduced cost 1/2 - 1/i >= 0, dual feasible for any b, so
+    there is no phase 1.  Returns the final tableau and optimal|infeasible."""
     m, n = lp.A.shape
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = lp.A - lp.A[:, -1:]
+    T[:m, :n] = lp.A - lp.A[:, :1]
     T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = lp.b - lp.A[:, -1]
+    T[:m, -1] = lp.b - lp.A[:, 0]
     T[m, :n] = 1.0
     T[m, -1] = 1.0
-    state = _SimplexState(T, np.append(np.arange(n, n + m), n - 1))
-    cost = np.zeros(n + m + 1)
-    cost[:n] = -lp.c
-    return state, state.run(cost)
+    state = _SimplexState(T, np.append(np.arange(n, n + m), 0))
+    return state, state.dual(np.concatenate([-lp.c, np.zeros(m + 1)]))
 
 
 def simplex_solve(lp: LPStandardForm):
@@ -338,8 +339,7 @@ def simplex_solve(lp: LPStandardForm):
     Returns (values, objective, status) with status in
     {optimal, infeasible, unbounded}.  The kernel on general LPs: it serves
     acceptance criteria 7 and 8 and the benchmark's tracer
-    (``bench/tracing.py``).  ``solve_semi_infinite`` drives
-    ``_SimplexState`` from ``_top_degree_start`` instead.
+    (``bench/tracing.py``); the cut loop starts from ``_dual_start``.
     """
     state, status = _two_phase(lp)
     if status == "infeasible":
@@ -381,7 +381,7 @@ def solve_semi_infinite(req: SolveRequest) -> OptimizationResult:
     x = np.concatenate([[0.0], chebyshev_grid()])
     A = _rows(rho, epsilon, d_v, x)
     backed_off = alpha - 0.5 * SLACK_TOL
-    state, status = _top_degree_start(_lp(A, np.maximum(backed_off, A[:, -1])))
+    state, status = _dual_start(_lp(A, np.maximum(backed_off, A[:, -1])))
     degrees = range(2, d_v + 1)
     for cuts in range(MAX_CUTS + 1):
         if status != "optimal":

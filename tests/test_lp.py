@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ldpcdesign.certify import feasibility_floor
+from ldpcdesign.certify import feasibility_floor, min_normalized_slack
 from ldpcdesign.desim import de_trace, empirical_contraction
 from ldpcdesign import lp
 from ldpcdesign.lp import (
@@ -273,11 +273,11 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
     # Every cut is added to the live tableau; after each one the warm
     # optimum equals a cold two-phase solve of the whole grid so far.
     first, cuts = [], []
-    top_degree_start, add_row = lp._top_degree_start, _SimplexState.add_row
+    dual_start, add_row = lp._dual_start, _SimplexState.add_row
 
     def record_first(problem):
         first.append(problem)
-        return top_degree_start(problem)
+        return dual_start(problem)
 
     def record_cut(state, a, rhs):
         status = add_row(state, a, rhs)
@@ -285,7 +285,7 @@ def test_warm_started_cuts_match_cold_solve(monkeypatch):
         cuts.append((a, rhs, status, float(first[0].c @ values)))
         return status
 
-    monkeypatch.setattr(lp, "_top_degree_start", record_first)
+    monkeypatch.setattr(lp, "_dual_start", record_first)
     monkeypatch.setattr(_SimplexState, "add_row", record_cut)
     res = solve_semi_infinite(SolveRequest(
         rho=poly_from_edge_coeffs({6: 1.0}), epsilon=0.4667, alpha=0.8731, d_v=13))
@@ -309,12 +309,11 @@ def _grid_lp(rho, epsilon, d_v, alpha):
     return lp._lp(A, np.maximum(alpha - 0.5 * lp.SLACK_TOL, A[:, -1]))
 
 
-def _top_degree_panel():
+def _grid_lp_panel():
     """(rho, epsilon, d_v, alpha): d_v = 2; alpha at the floor, where the
-    row at the maximum is clamped to all mass on d_v and the start is
-    degenerate, and 1e-9 above it; the sweep's alpha = 0.9 vertex; the
-    irregular rho of the SOS near-floor panel; lp-stress-style random
-    designs."""
+    row at the maximum is clamped to all mass on d_v, and 1e-9 above it;
+    the sweep's alpha = 0.9 vertex; the irregular rho of the SOS
+    near-floor panel; lp-stress-style random designs."""
     panel = [(RHO_X3, 0.3, 2, 0.9)]
     rho = poly_from_edge_coeffs({8: 1.0})
     floor = feasibility_floor(rho, 0.1984, 11)
@@ -336,42 +335,96 @@ def _top_degree_panel():
     return panel
 
 
-def test_top_degree_start_matches_two_phase():
-    # The cold start from all mass on d_v needs no phase 1: it reaches the
-    # two-phase optimum of the same grid LP in fewer pivots over the panel.
-    top_pivots = two_phase_pivots = 0
-    for rho, epsilon, d_v, alpha in _top_degree_panel():
+def test_dual_start_matches_two_phase(monkeypatch):
+    # The cold start from all mass on degree 2 is dual feasible, so it needs
+    # no phase 1.  It reaches the two-phase status of the same grid LP in
+    # fewer pivots over the panel, and an objective no lower.  The dual loop
+    # stops within _PIVOT_TOL of the backed-off rhs, so it may end above the
+    # two-phase optimum (the sweep's alpha = 0.9 gives lambda_2 = 1 where
+    # two-phase gives 0.4999999999074); such a lambda must still be
+    # feasible at the true alpha.
+    dual = _SimplexState.dual
+    start_reduced = []
+
+    def record_start(state, cost):
+        if state.pivots == 0:
+            state.cost = cost
+            start_reduced.append(state._reduced())
+        return dual(state, cost)
+
+    monkeypatch.setattr(_SimplexState, "dual", record_start)
+    start_pivots = two_phase_pivots = 0
+    for rho, epsilon, d_v, alpha in _grid_lp_panel():
         problem = _grid_lp(rho, epsilon, d_v, alpha)
-        state, status = lp._top_degree_start(problem)
+        start_reduced.clear()
+        state, status = lp._dual_start(problem)
         two_phase, two_phase_status = lp._two_phase(problem)
+        assert len(start_reduced) == 1 and start_reduced[0].min() >= 0.0
         assert status == two_phase_status == "optimal"
         values = state.values(problem.c.size)
-        assert float(problem.c @ values) == pytest.approx(
-            float(problem.c @ two_phase.values(problem.c.size)), abs=1e-12)
+        objective = float(problem.c @ values)
+        two_phase_objective = float(problem.c @ two_phase.values(problem.c.size))
+        assert objective >= two_phase_objective - 1e-12
+        assert np.all(problem.A @ values <= problem.b + lp._PIVOT_TOL)
+        if objective > two_phase_objective + 1e-12:
+            lam = {i + 2: float(v) for i, v in enumerate(values) if v != 0.0}
+            assert min_normalized_slack(lam, rho, epsilon, alpha).min_slack >= 0.0
         if d_v == 2:
             assert state.pivots == 0 and values.tolist() == [1.0]
-        top_pivots += state.pivots
+        start_pivots += state.pivots
         two_phase_pivots += two_phase.pivots
-    assert top_pivots < two_phase_pivots
+    assert start_pivots < two_phase_pivots
+
+
+def test_dual_start_pivot_count():
+    # An lp-stress-style panel: rho = x^(d_c - 1), alpha uniform between the
+    # floor and 1.  The start from all mass on d_v, primal simplex on the
+    # same grid LPs, took 781 pivots here; the dual start takes 140.
+    rng = np.random.default_rng(1)
+    pivots = 0
+    for _ in range(40):
+        d_c, d_v = int(rng.integers(3, 9)), int(rng.integers(3, 16))
+        epsilon = float(rng.uniform(0.05, 0.6))
+        rho = poly_from_edge_coeffs({d_c: 1.0})
+        floor = feasibility_floor(rho, epsilon, d_v)
+        alpha = floor + float(rng.uniform()) * (1.0 - floor)
+        if floor > 1.0:
+            continue
+        state, status = lp._dual_start(_grid_lp(rho, epsilon, d_v, alpha))
+        assert status == "optimal"
+        pivots += state.pivots
+    assert pivots <= 781 // 2
 
 
 def test_basic_solution_off_the_simplex_is_a_numerical_failure(monkeypatch):
     # The loop checks the basic lambda before clipping and renormalising
     # it: a corrupted rhs of a structural basic row is reported, not
     # certified.
-    top_degree_start = lp._top_degree_start
+    dual_start = lp._dual_start
 
     def corrupted(problem):
-        state, status = top_degree_start(problem)
+        state, status = dual_start(problem)
         row = int(np.flatnonzero(state.basis < problem.c.size)[0])
         state.T[row, -1] += 1e-6
         return state, status
 
-    monkeypatch.setattr(lp, "_top_degree_start", corrupted)
+    monkeypatch.setattr(lp, "_dual_start", corrupted)
     res = solve_semi_infinite(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.9, d_v=6))
     assert res.status == "numerical-failure"
     assert res.lambda_coeffs == {} and res.rate is None
     assert res.solver_iterations == 1 and res.cuts_added == 0
+
+
+def test_vertex_on_the_limit_row_has_no_dust():
+    # At alpha = 0.9 the optimum lambda_2 = 1 meets the limit row
+    # lambda_2 epsilon rho'(1) <= alpha with zero slack.  A primal start
+    # from all mass on d_v stops short of it, within the backed-off rhs, at
+    # lambda_2 = 0.999999999444, lambda_3 = 5.6e-10; the dual start begins
+    # there and stays.
+    res = solve_semi_infinite(SolveRequest(rho=RHO_X3, epsilon=0.3, alpha=0.9, d_v=6))
+    assert res.status == "optimal"
+    assert res.lambda_coeffs == {2: 1.0}
+    assert res.margin.min_slack >= 0.0
 
 
 def test_bland_fallback_ends_beale_cycle():
