@@ -14,13 +14,14 @@ All certifiers work on Bernstein coefficients on [0, 1]
 built from nonnegative sums, through one branch and bound:
 
 - ``_minimum`` is that branch and bound, one loop of breadth-first de
-  Casteljau subdivision, under the two below; the decoding threshold
-  (``desim.threshold``) is one over the maximum it finds of
-  sum_i lambda_i g_i(x) / x at epsilon = 1, in closed form.  Its split
-  maps (``bernstein_halves``) are blocks of one read-only table shared by
-  every degree, so a call at a degree used before builds none; the table
-  keeps (m+1)^2 doubles for the largest degree m used, about 8 MB at
-  m = 1000.
+  Casteljau subdivision whose last piece, once convex, is closed by Newton
+  on its derivative (``_convex_endgame``), under the two below; the
+  decoding threshold (``desim.threshold``) is one over the maximum it
+  finds of sum_i lambda_i g_i(x) / x at epsilon = 1, in closed form.  Its
+  split maps (``bernstein_halves``) are blocks of one read-only table
+  shared by every degree, so a call at a degree used before builds none;
+  the table keeps (m+1)^2 doubles for the largest degree m used, about
+  8 MB at m = 1000.
 - ``bernstein_margin`` bounds the minimum of the slack and locates it; the
   LP cut loop (``lp.solve_semi_infinite``) certifies every candidate lambda
   and picks its cuts with it, and ``min_normalized_slack`` wraps it for the
@@ -34,6 +35,7 @@ built from nonnegative sums, through one branch and bound:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import inf
 from typing import Mapping
@@ -41,8 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from .polynomials import (
-    BernsteinQuotientSum, Polynomial, bernstein_halves, bernstein_quotient_sum,
-    bernstein_split)
+    BernsteinQuotientSum, Polynomial, _binomial_row, bernstein_halves,
+    bernstein_quotient_sum, bernstein_split)
 
 # min_slack >= -FEASIBILITY_TOL counts as feasible; solver outputs carry
 # float rounding and the DE simulator re-checks behaviour independently.
@@ -54,6 +56,8 @@ MAX_SPLIT_DEPTH = 40
 MAX_PIECES = 1024
 # feasibility_floor stops once no piece can exceed its best value by more.
 FLOOR_TOL = 1e-12
+# Newton steps the convex endgame of _minimum takes at most on one piece.
+NEWTON_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class MarginReport:
     # The slack's minimum lies in [min_slack - FLOOR_TOL, min_slack] when no
     # subdivision cap ends the search, and min_slack is then the value the
     # slack takes at argmin_x; min_slack - FLOOR_TOL is the proved lower bound.
+    # argmin_x is a split point, or a Newton minimiser where the convex
+    # endgame closed the search, so not always a dyadic point.
     min_slack: float
     argmin_x: float
     endpoint_slack: float
@@ -98,12 +104,14 @@ def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, floa
     Pieces whose bound lies within FLOOR_TOL of the best value are dropped,
     the rest are split at their midpoints by de Casteljau (``halves``),
     until no piece is left, MAX_SPLIT_DEPTH splits are made, or a split
-    would hold more than MAX_PIECES pieces.  Returns (value, location,
-    bound): the smallest value found, the point where the polynomial takes
-    it, and a bound such that the minimum lies in [bound - FLOOR_TOL,
-    value].  Unless a cap ends the search first, bound is the value itself,
-    which is then within FLOOR_TOL above the minimum, not below it; a cap
-    that leaves pieces open lowers bound to their smallest coefficient.
+    would hold more than MAX_PIECES pieces; a lone piece is first offered
+    to ``_convex_endgame``, which closes it by Newton if it is convex.
+    Returns (value, location, bound): the smallest value found, the point
+    where the polynomial takes it, and a bound such that the minimum lies
+    in [bound - FLOOR_TOL, value].  Unless a cap ends the search first,
+    bound is the value itself, which is then within FLOOR_TOL above the
+    minimum, not below it; a cap that leaves pieces open lowers bound to
+    their smallest coefficient.
     """
     pieces = np.asarray(coeffs, dtype=float)[None, :]
     # Columns 0 and m of the pieces; a degree-0 polynomial has one column,
@@ -123,6 +131,12 @@ def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, floa
         if not keep.all():
             pieces = pieces[keep]
             lefts = [left for left, kept in zip(lefts, keep.tolist()) if kept]
+        if len(lefts) == 1 and pieces.shape[1] > 2:
+            closed = _convex_endgame(pieces[0], best)
+            if closed:
+                if closed[0] < best:
+                    best, where = closed[0], lefts[0] + closed[1] * width
+                lefts = []
         if not lefts or depth == MAX_SPLIT_DEPTH or 2 * len(lefts) > MAX_PIECES:
             break
         pieces = bernstein_split(pieces, halves)
@@ -131,13 +145,46 @@ def _minimum(coeffs: np.ndarray, halves: np.ndarray) -> tuple[float, float, floa
     return best, where, float(pieces.min()) if lefts else best
 
 
+def _basis(n: int, t: float) -> np.ndarray:
+    """The Bernstein basis of degree n at t: C(n, k) t^k (1 - t)^(n - k)."""
+    return _binomial_row(n) * t ** np.arange(n + 1) * (1.0 - t) ** np.arange(n, -1, -1)
+
+
+def _convex_endgame(piece: np.ndarray, best: float) -> tuple[float, float] | None:
+    """(p(t), t) if it can close ``_minimum``'s last piece p, else None.
+    Positive second differences (degree m >= 2) make p convex; Newton on p'
+    from j / m, j its first rising difference, clamped to [0, 1], finds its
+    minimiser t, reading p'' and p' off one basis after a de Casteljau step.
+    As p lies above its tangent, min p >= p(t) + min(-p'(t) t, p'(t) (1 - t),
+    0), and p closes if that is within FLOOR_TOL of min(best, p(t))."""
+    first = piece[1:] - piece[:-1]
+    second = first[1:] - first[:-1]
+    if not second.min() > 0.0:
+        return None
+    m = piece.size - 1
+    t = int(np.count_nonzero(first <= 0.0)) / m
+    for _ in range(NEWTON_STEPS):
+        basis = _basis(m - 2, t)
+        slope = float(((1.0 - t) * first[:-1] + t * first[1:]) @ basis)
+        t, previous = min(max(t - slope / ((m - 1) * float(second @ basis)), 0.0), 1.0), t
+        if abs(t - previous) <= 4.0 * sys.float_info.epsilon:
+            break
+    basis = _basis(m - 1, t)
+    value = float(((1.0 - t) * piece[:-1] + t * piece[1:]) @ basis)
+    slope = m * float(first @ basis)
+    if value + min(-slope * t, slope * (1.0 - t), 0.0) < min(best, value) - FLOOR_TOL:
+        return None
+    return value, t
+
+
 def bernstein_margin(coeffs: np.ndarray, halves: np.ndarray) -> MarginReport:
     """The margin of a normalized slack given by its Bernstein coefficients
     on [0, 1] (``halves`` of the same degree), by branch and bound:
     ``min_slack`` is the bound of ``_minimum``, so the minimum is at least
     ``min_slack - FLOOR_TOL``.  Unless a subdivision cap ends the search,
-    ``min_slack`` is a value the slack takes, at ``argmin_x``, and the
-    minimum lies within FLOOR_TOL below it."""
+    ``min_slack`` is a value the slack takes, at ``argmin_x`` (a split point,
+    or the Newton minimiser of a convex last piece), and the minimum lies
+    within FLOOR_TOL below it."""
     _, argmin_x, min_slack = _minimum(coeffs, halves)
     return MarginReport(
         min_slack=min_slack,

@@ -98,7 +98,8 @@ def threshold(dist: DegreeDistribution, tol: float) -> ThresholdResult:
     the slack is negative at x = y0 / epsilon, y0 <= 1 / M the argmax.
     g's Bernstein coefficients are those of sum_i lambda_i f^(i-1) / x at
     epsilon = 1 (the first is the x -> 0 value lambda_2 rho'(1)), and the
-    branch and bound of ``certify._minimum`` on -g brackets M.  The result
+    branch and bound of ``certify._minimum`` on -g, de Casteljau splits
+    ended by Newton on a convex last piece, brackets M.  The result
     is the midpoint of the proved interval of 1 / M, or its lower end where
     a subdivision cap leaves the interval wider than ``tol``, so the
     estimate errs low; ``bracket_width`` is the interval's width.

@@ -18,7 +18,7 @@ again, until the certifier accepts.
   back-off makes most returned lambda feasible, but not all, since a cut
   row can stay violated in the tableau by up to _PIVOT_TOL: 24 of the 138
   optimal lambda of the benchmark's lp-stress panel have a negative slack
-  minimum, the lowest -9.3e-10.
+  minimum, the lowest -9.8e-10.
 - Kernel: a dense tableau simplex.  The first LP starts from all mass on
   degree 2, a basis dual feasible for any rhs, and each cut becomes one
   new row of the live tableau in the current basis; one dual-simplex loop

@@ -9,13 +9,17 @@ never expanded, and runs the library's simplex kernel once, on the dual
 of a dense-grid LP.  The HiGHS grid objective and the direct slack share
 no code with the library: their rows are evaluated directly as well, and
 scipy solves the LP.  ``random_edge_map`` draws the random degree
-distributions the tests check against these.  ``reference_halves`` and
+distributions the tests check against these, ``random_design_panel`` a
+panel of such designs.  ``direct_bernstein_values`` evaluates a Bernstein
+polynomial by Horner's rule, sharing no code with the library's de
+Casteljau evaluation.  ``reference_halves`` and
 ``reference_minimum`` are the plain forms of the certifier's de Casteljau
-maps and branch and bound, a per-degree build and a loop over numpy
-arrays, which the library's must match bit for bit.
+maps and branch and bound with its convex endgame, a per-degree build and
+a loop over numpy arrays, which the library's must match bit for bit.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -69,6 +73,14 @@ def random_edge_map(rng, lo, hi, max_terms):
     w = rng.dirichlet(np.ones(k))
     w[-1] = 1.0 - w[:-1].sum()
     return {int(d): float(c) for d, c in zip(degrees, w)}
+
+
+def random_design_panel(seed, size):
+    """Random designs like the benchmark's: lambda with 1-3 degrees in
+    2..15, rho with 1-2 degrees in 3..11, Dirichlet(1) fractions."""
+    rng = np.random.default_rng(seed)
+    return [(random_edge_map(rng, 2, 15, 3), random_edge_map(rng, 3, 11, 2))
+            for _ in range(size)]
 
 
 def threshold_fixed_point_scan(lam_poly, rho_poly, eps, grid_step=1e-4):
@@ -169,6 +181,27 @@ def direct_min_slack(lam, rho, epsilon, alpha, num_points=200_000):
     return min(float(np.min(slack)), alpha - lam.get(2, 0.0) * epsilon * rho_prime)
 
 
+def direct_bernstein_values(p, x):
+    """Values at the points x of [0, 1] of the polynomial with Bernstein
+    coefficients p, by Horner's rule on the scaled coefficients
+    p_k C(n, k) in u = x / (1 - x) times (1 - x)^n for x <= 1/2, and in
+    1 / u times x^n, coefficients reversed, above; |u| <= 1 either way."""
+    p = np.asarray(p, dtype=float)
+    n = p.size - 1
+    scaled = p * np.array([float(comb(n, k)) for k in range(n + 1)])
+    x = np.asarray(x, dtype=float)
+    low = x <= 0.5
+    values = np.empty_like(x)
+    for mask, base, coeffs in ((low, 1.0 - x[low], scaled),
+                               (~low, x[~low], scaled[::-1])):
+        u = (1.0 - base) / base
+        acc = np.full(u.shape, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = acc * u + c
+        values[mask] = acc * base ** n
+    return values
+
+
 def reference_halves(m):
     """The de Casteljau maps at t = 1/2 for degree m, as
     ``polynomials.bernstein_halves`` stacks them, built for this degree
@@ -181,11 +214,12 @@ def reference_halves(m):
     return np.vstack([left, left[::-1, ::-1]])
 
 
-def reference_minimum(coeffs, halves, max_depth, max_pieces, floor_tol):
+def reference_minimum(coeffs, halves, max_depth, max_pieces, floor_tol, newton_steps):
     """The breadth-first branch and bound of ``certify._minimum`` with its
-    caps and tolerance as arguments: every level reads the pieces' end
-    coefficients by a fancy index, keeps the piece lefts in an array and
-    gathers the kept pieces, and splits them by one matrix product.
+    caps, tolerance and Newton step cap as arguments: every level reads the
+    pieces' end coefficients by a fancy index, keeps the piece lefts in an
+    array and gathers the kept pieces, closes a lone convex piece by
+    ``reference_convex_endgame`` and splits the rest by one matrix product.
     Returns (value, location, bound) as ``certify._minimum`` does."""
     pieces = np.asarray(coeffs, dtype=float)[None, :]
     lefts = np.zeros(1)
@@ -199,6 +233,12 @@ def reference_minimum(coeffs, halves, max_depth, max_pieces, floor_tol):
             where = float(lefts[k // 2] + (k % 2) * width)
         keep = pieces.min(axis=1) < best - floor_tol
         pieces, lefts = pieces[keep], lefts[keep]
+        if len(pieces) == 1 and pieces.shape[1] > 2:
+            closed = reference_convex_endgame(pieces[0], best, floor_tol, newton_steps)
+            if closed is not None:
+                if closed[0] < best:
+                    best, where = closed[0], float(lefts[0] + closed[1] * width)
+                pieces, lefts = pieces[:0], lefts[:0]
         if not pieces.size or depth == max_depth or 2 * len(pieces) > max_pieces:
             break
         pieces = (pieces @ halves.T).reshape(-1, pieces.shape[1])
@@ -206,3 +246,40 @@ def reference_minimum(coeffs, halves, max_depth, max_pieces, floor_tol):
         lefts = np.repeat(lefts, 2)
         lefts[1::2] += width
     return best, where, float(pieces.min()) if pieces.size else best
+
+
+def reference_basis(n, t):
+    """The Bernstein basis of degree n at t, with C(n, k) by the running
+    product C(n, k) = C(n, k-1) (n - k + 1) / k."""
+    binomials = np.ones(n + 1)
+    for k in range(1, n + 1):
+        binomials[k] = binomials[k - 1] * ((n - k + 1) / k)
+    return binomials * t ** np.arange(n + 1.0) * (1.0 - t) ** np.arange(n, -1.0, -1.0)
+
+
+def reference_convex_endgame(piece, best, floor_tol, newton_steps):
+    """The convex endgame of ``certify._minimum`` on one piece of degree
+    m >= 2: None unless every second difference is positive, else Newton on
+    p' from the first rising difference j at j / m, clamped to [0, 1], then
+    (p(t), t) if the tangent bound at t lies within floor_tol of
+    min(best, p(t)), and None if not."""
+    first = np.diff(piece)
+    second = np.diff(first)
+    if not np.all(second > 0.0):
+        return None
+    m = len(piece) - 1
+    rising = np.flatnonzero(first > 0.0)
+    t = (rising[0] if rising.size else m) / m
+    for _ in range(newton_steps):
+        basis = reference_basis(m - 2, t)
+        slope = float(np.dot((1.0 - t) * first[:-1] + t * first[1:], basis))
+        previous = t
+        t = float(np.clip(t - slope / ((m - 1) * float(np.dot(second, basis))), 0.0, 1.0))
+        if abs(t - previous) <= 4.0 * np.finfo(float).eps:
+            break
+    basis = reference_basis(m - 1, t)
+    value = float(np.dot((1.0 - t) * piece[:-1] + t * piece[1:], basis))
+    slope = m * float(np.dot(first, basis))
+    if value + min(-slope * t, slope * (1.0 - t), 0.0) < min(best, value) - floor_tol:
+        return None
+    return value, t

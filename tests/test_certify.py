@@ -9,12 +9,12 @@ from ldpcdesign.certify import (
     FEASIBILITY_TOL, FLOOR_TOL, MAX_PIECES, MAX_SPLIT_DEPTH, bernstein_margin,
     feasibility_floor, min_normalized_slack)
 from ldpcdesign.polynomials import (
-    bernstein_halves, bernstein_quotient_sum, bernstein_split,
+    bernstein_halves, bernstein_quotient_sum, bernstein_split, bernstein_values,
     poly_from_edge_coeffs)
 
 from oracles import (
-    direct_min_slack, random_edge_map, reference_halves, reference_minimum,
-    threshold_closed_form)
+    direct_bernstein_values, direct_min_slack, random_design_panel,
+    random_edge_map, reference_halves, reference_minimum, threshold_closed_form)
 
 RHO_X = poly_from_edge_coeffs({2: 1.0})
 RHO_X3 = poly_from_edge_coeffs({4: 1.0})
@@ -236,50 +236,110 @@ def test_margin_refutes_zero_slack_without_splitting(monkeypatch):
     assert sizes == []
 
 
-@pytest.mark.parametrize("caps", [(MAX_SPLIT_DEPTH, MAX_PIECES), (4, MAX_PIECES), (40, 4)],
-                         ids=["caps", "low-depth", "few-pieces"])
-def test_minimum_matches_the_reference_bit_for_bit(monkeypatch, caps):
-    # The branch and bound returns the bits of the plain loop over numpy
-    # arrays, on random Bernstein vectors of degree 0..200 and on slacks of
-    # random designs near their threshold, where most levels hold one
-    # piece; with low caps the loop ends at the caps, and the open pieces'
-    # bound is compared too.
-    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", caps[0])
-    monkeypatch.setattr(certify, "MAX_PIECES", caps[1])
-    rng = np.random.default_rng(caps[0] + caps[1])
+def _minimum_inputs(rng):
+    """Random Bernstein vectors of degree 0..200 and slacks of random designs
+    near their threshold, where most levels hold one piece."""
     vectors = [rng.normal(size=m + 1) for m in [0, 1, 2, *rng.integers(3, 201, size=12)]]
     for _ in range(12):
         lam, rho = random_edge_map(rng, 2, 12, 3), random_edge_map(rng, 3, 9, 2)
         eps = 0.99 * threshold_closed_form(lam, rho, num_points=2000)
         vectors.append(1.0 - bernstein_quotient_sum(lam, poly_from_edge_coeffs(rho), eps))
-    for coeffs in vectors:
+    return vectors
+
+
+@pytest.mark.parametrize("caps", [(MAX_SPLIT_DEPTH, MAX_PIECES), (4, MAX_PIECES), (40, 4)],
+                         ids=["caps", "low-depth", "few-pieces"])
+def test_minimum_matches_the_reference_bit_for_bit(monkeypatch, caps):
+    # The branch and bound returns the bits of the plain loop over numpy
+    # arrays, convex endgame included, on ``_minimum_inputs``, where the
+    # design slacks mostly end in the endgame; with low caps the loop ends
+    # at the caps, and the open pieces' bound is compared too.
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", caps[0])
+    monkeypatch.setattr(certify, "MAX_PIECES", caps[1])
+    for coeffs in _minimum_inputs(np.random.default_rng(caps[0] + caps[1])):
         m = coeffs.size - 1
         got = certify._minimum(coeffs, bernstein_halves(m))
-        want = reference_minimum(coeffs, reference_halves(m), *caps, FLOOR_TOL)
+        want = reference_minimum(coeffs, reference_halves(m), *caps, FLOOR_TOL,
+                                 certify.NEWTON_STEPS)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_minimum_meets_its_contract_on_a_direct_grid():
+    # The contract of the branch and bound against an evaluation that shares
+    # no code with it, on ``_minimum_inputs`` and on the slacks of random
+    # designs at their threshold: the minimum over a 200 000-point grid is
+    # at least bound - FLOOR_TOL, the value found is at most that minimum
+    # + FLOOR_TOL, and it is the polynomial's value where it was found.
+    x = np.arange(200_001) / 200_000
+    vectors = _minimum_inputs(np.random.default_rng(MAX_SPLIT_DEPTH + MAX_PIECES))
+    for lam, rho in random_design_panel(13, 40):
+        eps = threshold_closed_form(lam, rho, num_points=2000)
+        vectors.append(1.0 - bernstein_quotient_sum(lam, poly_from_edge_coeffs(rho), eps))
+    for coeffs in vectors:
+        value, where, bound = certify._minimum(coeffs, bernstein_halves(coeffs.size - 1))
+        grid_min = float(direct_bernstein_values(coeffs, x).min())
+        assert grid_min >= bound - FLOOR_TOL
+        assert value <= grid_min + FLOOR_TOL + 1e-14
+        assert value == pytest.approx(bernstein_values(coeffs, [where])[0], abs=1e-14)
+
+
+def test_convex_minimum_closes_without_splitting(monkeypatch):
+    # (3x - 1)^2 is convex, its Bernstein coefficients 1, -2, 4 having the
+    # second difference 9 > 0: Newton on p' finds the minimiser 1/3, which no
+    # split point reaches, and the tangent bound there ends the search.
+    sizes = _count_splits(monkeypatch)
+    margin = bernstein_margin(np.array([1.0, -2.0, 4.0]), bernstein_halves(2))
+    assert sizes == []
+    assert abs(margin.min_slack) <= FLOOR_TOL
+    assert margin.argmin_x == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def test_convex_piece_not_yet_within_floor_tol_is_split(monkeypatch):
+    # A convex quartic (second differences 1.4, 0.7, 1.4) with its minimum
+    # inside (0, 1).  With all its Newton steps the endgame closes it at
+    # once; one step from the control polygon's turning point leaves the
+    # tangent bound short of FLOOR_TOL, so the piece is split instead, and
+    # the result still meets the contract.
+    sizes = _count_splits(monkeypatch)
+    coeffs = np.array([1.0, -0.5, -0.6, 0.0, 2.0])
+    halves = bernstein_halves(4)
+    full = certify._minimum(coeffs, halves)
+    assert sizes == []
+    monkeypatch.setattr(certify, "NEWTON_STEPS", 1)
+    value, where, bound = certify._minimum(coeffs, halves)
+    assert 0 < len(sizes) < MAX_SPLIT_DEPTH
+    assert bound == value == pytest.approx(full[0], abs=FLOOR_TOL)
+    grid_min = float(direct_bernstein_values(coeffs, np.arange(200_001) / 200_000).min())
+    assert bound - FLOOR_TOL <= grid_min
+    assert value <= grid_min + FLOOR_TOL + 1e-14
+    assert value == pytest.approx(bernstein_values(coeffs, [where])[0], abs=1e-14)
 
 
 def test_margin_caps_end_the_subdivision(monkeypatch):
     sizes = _count_splits(monkeypatch)
-    # (3x - 1)^2 touches 0 at 1/3, which no split point reaches: the branch
-    # and bound settles its minimum to within FLOOR_TOL before the depth
-    # cap, and that is no proof of positivity.
-    touching = np.array([1.0, -2.0, 4.0])
-    halves = bernstein_halves(2)
-    assert not _proves_positive(touching, halves)
-    assert 0 < len(sizes) < MAX_SPLIT_DEPTH
-    # Lifted by 1e-6 it is proved within the caps, after 11 levels ...
+    # (3x - 1)^4 touches 0 at 1/3, which no split point reaches, and around
+    # 1/3 no piece has all second differences positive, so the convex
+    # endgame never closes it: the branch and bound settles its minimum to
+    # within FLOOR_TOL by bisection, after 11 levels and before the depth
+    # cap, at 683/2048, and that is no proof of positivity.
+    touching = np.array([1.0, -2.0, 4.0, -8.0, 16.0])
+    halves = bernstein_halves(4)
+    margin = bernstein_margin(touching, halves)
+    assert not margin.min_slack > FLOOR_TOL
+    assert (margin.min_slack, margin.argmin_x) == (2.0 ** -44, 683 / 2048)
+    assert sizes == [1] * 11
+    # Lifted by 1e-6 it is proved within the caps, by a depth cap of 6 ...
     sizes.clear()
     assert _proves_positive(touching + 1e-6, halves)
     assert 0 < len(sizes) < MAX_SPLIT_DEPTH
-    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 11)
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 6)
     assert _proves_positive(touching + 1e-6, halves)
     # ... and not with fewer: the depth cap ends the loop, and the bound is
     # the smallest coefficient of the pieces it leaves open.
-    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 10)
+    monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", 5)
     sizes.clear()
     assert not _proves_positive(touching + 1e-6, halves)
-    assert len(sizes) == 10
+    assert len(sizes) == 5
     # (3x - 1)^2 (3x - 2)^2 + 1e-6 keeps two pieces alive after the first
     # split; three live pieces at most end the loop there.
     monkeypatch.setattr(certify, "MAX_SPLIT_DEPTH", MAX_SPLIT_DEPTH)

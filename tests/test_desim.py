@@ -9,9 +9,10 @@ from ldpcdesign import certify, desim
 from ldpcdesign.desim import (
     DETrace, de_trace, empirical_contraction, threshold)
 from ldpcdesign.certify import FLOOR_TOL
-from ldpcdesign.polynomials import BernsteinQuotientSum, DegreeDistribution
+from ldpcdesign.polynomials import (
+    BernsteinQuotientSum, DegreeDistribution, bernstein_split)
 
-from oracles import random_edge_map, threshold_closed_form
+from oracles import random_design_panel, threshold_closed_form
 
 CYCLE = DegreeDistribution({2: 1.0}, {2: 1.0})          # lambda = x, rho = x
 REGULAR_36 = DegreeDistribution({3: 1.0}, {6: 1.0})     # lambda = x^2, rho = x^5
@@ -167,20 +168,30 @@ def test_threshold_consistency_with_traces():
     assert not above.converged
 
 
-def _panel(seed, size):
-    """Random designs like the benchmark's: lambda with 1-3 degrees in
-    2..15, rho with 1-2 degrees in 3..11, Dirichlet(1) fractions."""
-    rng = np.random.default_rng(seed)
-    return [(random_edge_map(rng, 2, 15, 3), random_edge_map(rng, 3, 11, 2))
-            for _ in range(size)]
-
-
-@pytest.mark.parametrize("lam, rho", _panel(13, 40))
+@pytest.mark.parametrize("lam, rho", random_design_panel(13, 40))
 def test_threshold_matches_closed_form_on_random_panel(lam, rho):
     result = threshold(DegreeDistribution(lam, rho), tol=1e-6)
     assert result.threshold == pytest.approx(threshold_closed_form(lam, rho),
                                              abs=1e-9)
     assert result.bracket_width <= 1e-6
+
+
+def test_threshold_closes_the_panel_in_few_splits(monkeypatch):
+    # The branch and bound closes its last piece, once convex, by Newton
+    # instead of bisecting it down to FLOOR_TOL: over the random panel the
+    # threshold's one call of it makes 2.4 splits on average, where plain
+    # bisection makes 19.8.
+    splits = []
+
+    def counting(pieces, halves):
+        splits.append(len(pieces))
+        return bernstein_split(pieces, halves)
+
+    monkeypatch.setattr(certify, "bernstein_split", counting)
+    panel = random_design_panel(13, 40)
+    for lam, rho in panel:
+        threshold(DegreeDistribution(lam, rho), tol=1e-6)
+    assert len(splits) <= 5 * len(panel)
 
 
 def test_threshold_cycle_code_is_one():
@@ -201,14 +212,14 @@ def test_threshold_builds_the_bernstein_coefficients_once(monkeypatch):
         return scaled_inner(self, epsilon)
 
     monkeypatch.setattr(BernsteinQuotientSum, "scaled_inner", counting)
-    for dist in (CYCLE, REGULAR_36, DegreeDistribution(*_panel(13, 1)[0])):
+    for dist in (CYCLE, REGULAR_36, DegreeDistribution(*random_design_panel(13, 1)[0])):
         calls.clear()
         threshold(dist, tol=1e-6)
         assert calls == [1.0]
 
 
 @pytest.mark.parametrize("dist", [REGULAR_36] + [
-    DegreeDistribution(lam, rho) for lam, rho in _panel(14, 20) if 2 not in lam])
+    DegreeDistribution(lam, rho) for lam, rho in random_design_panel(14, 20) if 2 not in lam])
 def test_threshold_separates_traces_within_1e_5(dist):
     # Without lambda_2 the threshold is set where DE meets a fixed point
     # inside (0, 1], so the traces settle within the iteration budget on
